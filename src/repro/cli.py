@@ -14,11 +14,13 @@ Usage (after ``python setup.py develop`` / ``pip install -e .``)::
     mdz bench     traj.npy --compressors mdz,sz2,tng
     mdz serve     --port 8321                  # compression-as-a-service
 
-``compress`` loads the whole trajectory and writes a monolithic ``MDZ1``
-container; ``stream`` feeds snapshots one at a time through the streaming
-subsystem and writes a chunked, crash-recoverable ``MDZ2`` container,
-optionally fanning compression across ``--workers`` processes.
-``decompress``/``info``/``verify`` accept both formats.
+Both ``compress`` and ``stream`` write the chunked, crash-recoverable
+``MDZ2`` container.  ``compress`` loads the whole trajectory and
+resolves a value-range bound against each axis's full range;
+``stream`` feeds snapshots one at a time (the bound then comes from the
+first buffer), optionally fanning compression across ``--workers``
+processes.  ``decompress``/``info``/``verify`` also read legacy
+``MDZ1`` containers, which nothing writes any more.
 
 ``verify`` audits a container without decoding payloads: frame CRCs,
 footer/index agreement, and (MDZ2) the rolling checksum chain; exit code
@@ -533,8 +535,8 @@ def _cmd_repair(args: argparse.Namespace) -> int:
         if container_version(blob) != 2:
             raise ReproError(
                 f"{args.input}: repair supports chunked MDZ2 archives only "
-                "(MDZ1 containers are written atomically; a damaged one "
-                "has no per-chunk redundancy to rebuild from)"
+                "(this is a legacy MDZ1 container, written in one piece "
+                "with no per-chunk redundancy to rebuild from)"
             )
         repaired, report = repair_stream(blob)
         salvage = StreamingReader(blob, salvage=True).salvage_report()
@@ -688,7 +690,9 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     comp = sub.add_parser(
-        "compress", help="compress a trajectory (monolithic MDZ1)"
+        "compress",
+        help="compress a whole trajectory (chunked MDZ2, bound from its "
+        "full value range)",
     )
     add_compression_options(comp)
     comp.set_defaults(func=_cmd_compress)

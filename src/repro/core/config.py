@@ -40,7 +40,10 @@ class MDZConfig:
         Default 1e-3 (the paper's headline setting).
     error_bound_mode:
         ``"value_range"`` — absolute bound is ``error_bound * (max - min)``
-        of the first buffer of each axis (the paper's epsilon); or
+        per axis (the paper's epsilon), where the range is the whole
+        trajectory's for a one-shot compress (``MDZ.compress``,
+        ``write_container``) and the first buffer's for a streaming
+        producer, which never sees the whole trajectory; or
         ``"absolute"`` — used verbatim.
     buffer_size:
         Snapshots per buffer (BS); the paper sweeps 10/50/100.

@@ -6,9 +6,9 @@ Two entry points:
   :class:`~repro.baselines.api.Compressor` interface (what the benchmark
   harness drives, one session per coordinate axis);
 * :class:`MDZ` — the user-facing whole-trajectory compressor: takes a
-  ``(snapshots, atoms, 3)`` array, runs one axis session per coordinate,
-  and packs everything into a self-describing ``.mdz`` container
-  (:mod:`repro.io.container`).
+  ``(snapshots, atoms, 3)`` array and writes it, one axis session per
+  coordinate, into a self-describing ``MDZ2`` container through the
+  streaming writer (:mod:`repro.io.container`).
 """
 
 from __future__ import annotations

@@ -2,9 +2,15 @@
 
 Two container generations share this read API:
 
-* ``MDZ1`` — the original monolithic layout, written in one piece by
-  :func:`write_container`.  All little-endian, sections framed by
-  :mod:`repro.serde`::
+* ``MDZ2`` — the append-only chunked layout (see
+  :mod:`repro.stream.format`).  It is the only format anything writes:
+  :func:`write_container` feeds a whole trajectory through a serial
+  :class:`repro.stream.writer.StreamingWriter`, so ``MDZ.compress``,
+  ``mdz compress``, ``/v1/compress`` and ``compress_fields`` produce the
+  same chunked, CRC-checked, recoverable archives as ``mdz stream``.
+
+* ``MDZ1`` — the original monolithic layout, now legacy and read-only.
+  All little-endian, sections framed by :mod:`repro.serde`::
 
       magic   : 4 bytes  b"MDZ1"
       header  : JSON     {snapshots, atoms, axes, dtype, buffer_size,
@@ -13,13 +19,11 @@ Two container generations share this read API:
                           the payload area, buffer-major
       payload : BYTES    concatenation of the per-buffer per-axis blobs
 
-* ``MDZ2`` — the append-only chunked streaming layout produced by
-  :class:`repro.stream.writer.StreamingWriter` (see
-  :mod:`repro.stream.format`).
-
-:func:`read_container`, :func:`read_container_batch`, and
-:func:`read_container_info` sniff the magic and dispatch, so every
-consumer (CLI, benchmarks, analysis) handles both generations.
+:func:`read_container`, :func:`read_container_batch`,
+:func:`read_container_info` and :func:`verify_container` sniff the magic
+and dispatch, so every consumer (CLI, service, benchmarks, analysis)
+handles both generations.  Both record the same header keys, and
+:func:`decode_sessions` rebuilds the per-axis decode sessions from them.
 
 The MDZ1 index enables random access to any buffer; buffers coded by VQ
 are fully independent, while VQT/MT buffers additionally need the session
@@ -28,6 +32,7 @@ reference (rebuilt by decoding buffer 0 once).
 
 from __future__ import annotations
 
+import io
 import zlib
 from dataclasses import dataclass
 
@@ -36,14 +41,12 @@ import numpy as np
 from ..baselines.api import SessionMeta
 from ..core.config import MDZConfig
 from ..core.mdz import MDZAxisCompressor
-from ..core.registry import DEFAULT_MEMBERS
-from ..telemetry import QualityAuditor
 from ..exceptions import (
     CompressionError,
     ContainerFormatError,
     DecompressionError,
 )
-from ..serde import BlobReader, BlobWriter
+from ..serde import BlobReader
 
 MAGIC = b"MDZ1"
 
@@ -77,93 +80,63 @@ def container_version(blob: bytes) -> int:
     return 1
 
 
-def _axis_bounds(positions: np.ndarray, config: MDZConfig) -> list[float]:
-    """Absolute per-axis error bounds from the configured mode."""
-    bounds = []
-    for a in range(positions.shape[2]):
-        axis = positions[:, :, a]
-        value_range = float(axis.max() - axis.min())
-        bounds.append(config.absolute_bound(value_range))
-    return bounds
-
-
-def _sessions(
-    config: MDZConfig,
-    bounds: list[float],
-    n_atoms: int,
-) -> list[MDZAxisCompressor]:
-    sessions = []
-    for eb in bounds:
-        session = MDZAxisCompressor(config)
-        session.begin(eb, SessionMeta(n_atoms=n_atoms))
-        sessions.append(session)
-    return sessions
-
-
 def write_container(positions: np.ndarray, config: MDZConfig) -> bytes:
-    """Compress a (snapshots, atoms, axes) array into a container."""
+    """Compress a (snapshots, atoms, axes) array into an ``MDZ2`` container.
+
+    A value-range-relative bound is resolved against each axis's range
+    over the whole trajectory (a streaming producer only sees the first
+    buffer); the snapshots then go through a serial
+    :class:`~repro.stream.writer.StreamingWriter`.
+    """
+    from ..stream.writer import StreamingWriter
+
     positions = np.asarray(positions)
     if positions.ndim != 3:
         raise CompressionError(
             f"expected a (snapshots, atoms, axes) array, got {positions.shape}"
         )
-    t_count, n_atoms, n_axes = positions.shape
-    if t_count == 0 or n_atoms == 0:
+    if positions.shape[0] == 0 or positions.shape[1] == 0:
         raise CompressionError("cannot compress an empty trajectory")
-    work = positions.astype(np.float64)
-    bounds = _axis_bounds(work, config)
-    sessions = _sessions(config, bounds, n_atoms)
-    bs = config.buffer_size
-    auditor = QualityAuditor(config.audit_interval)
-    blobs: list[bytes] = []
-    offsets: list[int] = []
-    cursor = 0
-    for t0 in range(0, t_count, bs):
-        chunk = work[t0 : t0 + bs]
-        buffer_index = t0 // bs
-        for a in range(n_axes):
-            blob = sessions[a].compress_batch(chunk[:, :, a])
-            if auditor.want(buffer_index):
-                auditor.audit(
-                    sessions[a],
-                    blob,
-                    chunk[:, :, a],
-                    buffer_index=buffer_index,
-                    axis=a,
-                )
-            offsets.append(cursor)
-            cursor += len(blob)
-            blobs.append(blob)
-    writer = BlobWriter()
-    writer.write_bytes(MAGIC)
-    header = {
-        "snapshots": t_count,
-        "atoms": n_atoms,
-        "axes": n_axes,
-        "dtype": np.asarray(positions).dtype.str,
-        "buffer_size": bs,
-        "error_bounds": bounds,
-        "scale": config.quantization_scale,
-        "sequence": config.sequence_mode,
-        "method": config.method,
-        "lossless": config.lossless_backend,
-    }
-    # A non-default ADP pool is recorded for provenance (`mdz info`);
-    # the key is omitted for the default pool so legacy archives stay
-    # byte-identical (pinned by tools/legacy_digests.py).
-    if config.method == "adp" and config.adp_members != DEFAULT_MEMBERS:
-        header["members"] = list(config.adp_members)
-    writer.write_json(header)
-    payload = b"".join(blobs)
-    writer.write_json(
-        {
-            "offsets": offsets,
-            "total": cursor,
-            "crc32": zlib.crc32(payload) & 0xFFFFFFFF,
-        }
+    # max/min in the source dtype, differenced in float64: the same value
+    # a float64 copy of the trajectory gives, without making that copy.
+    bounds = [
+        config.absolute_bound(float(axis.max()) - float(axis.min()))
+        for axis in np.moveaxis(positions, 2, 0)
+    ]
+    sink = io.BytesIO()
+    with StreamingWriter(sink, config, error_bounds=bounds) as writer:
+        writer.feed_many(positions)
+    return sink.getvalue()
+
+
+def decode_sessions(header: dict) -> list[MDZAxisCompressor]:
+    """One decode session per axis, rebuilt from a container header.
+
+    Both generations record the keys read here: ``atoms``,
+    ``buffer_size``, ``error_bounds``, ``scale``, ``sequence``,
+    ``method``, ``lossless`` and (for a non-default ADP pool)
+    ``members``.
+    """
+    extra = {}
+    if "members" in header:
+        extra["adp_members"] = tuple(header["members"])
+    config = MDZConfig(
+        error_bound=1.0,  # absolute per-axis bounds travel in begin()
+        error_bound_mode="absolute",
+        buffer_size=int(header["buffer_size"]),
+        quantization_scale=int(header["scale"]),
+        sequence_mode=str(header["sequence"]),
+        method=str(header["method"]),
+        lossless_backend=str(header["lossless"]),
+        **extra,
     )
-    writer.write_bytes(payload)
-    return writer.getvalue()
+    meta = SessionMeta(n_atoms=int(header["atoms"]))
+    sessions = []
+    for bound in header["error_bounds"]:
+        session = MDZAxisCompressor(config)
+        session.begin(float(bound), meta)
+        sessions.append(session)
+    return sessions
 
 
 def _open_container(blob: bytes):
@@ -201,21 +174,6 @@ def _open_container(blob: bytes):
     return header, index, payload
 
 
-def _config_from_header(header: dict) -> MDZConfig:
-    extra = {}
-    if "members" in header:
-        extra["adp_members"] = tuple(header["members"])
-    return MDZConfig(
-        error_bound=1.0e-3,  # per-axis absolute bounds travel separately
-        buffer_size=int(header["buffer_size"]),
-        quantization_scale=int(header["scale"]),
-        sequence_mode=str(header["sequence"]),
-        method=str(header["method"]),
-        lossless_backend=str(header["lossless"]),
-        **extra,
-    )
-
-
 def _blob_at(payload: bytes, offsets: list[int], i: int) -> bytes:
     start = offsets[i]
     end = offsets[i + 1] if i + 1 < len(offsets) else len(payload)
@@ -233,9 +191,7 @@ def read_container(blob: bytes) -> np.ndarray:
     n_atoms = int(header["atoms"])
     n_axes = int(header["axes"])
     bs = int(header["buffer_size"])
-    config = _config_from_header(header)
-    bounds = [float(b) for b in header["error_bounds"]]
-    sessions = _sessions(config, bounds, n_atoms)
+    sessions = decode_sessions(header)
     offsets = [int(o) for o in index["offsets"]]
     out = np.empty((t_count, n_atoms, n_axes), dtype=np.float64)
     blob_i = 0
@@ -271,29 +227,26 @@ class ContainerInfo:
     members: tuple[str, ...] | None = None
 
 
-def read_container_info(blob: bytes) -> ContainerInfo:
-    """Inspect a container: header fields plus the per-buffer method tags."""
+def summarize(
+    header: dict, snapshots: int, n_buffers: int, pieces
+) -> ContainerInfo:
+    """A :class:`ContainerInfo` from a header of either generation and
+    its ``(axis, payload)`` pairs (only each payload's method tag is
+    read)."""
     from ..core.methods import METHOD_NAMES
     from ..sz.lossless import lossless_decompress
 
-    if container_version(blob) == 2:
-        from ..stream.reader import StreamingReader
-
-        return StreamingReader(blob).container_info()
-    header, index, payload = _open_container(blob)
     n_axes = int(header["axes"])
-    offsets = [int(o) for o in index["offsets"]]
-    n_buffers = len(offsets) // n_axes
     methods: list[dict[str, int]] = [dict() for _ in range(n_axes)]
-    for i in range(len(offsets)):
-        axis = i % n_axes
-        piece = _blob_at(payload, offsets, i)
+    payload_bytes = 0
+    for axis, piece in pieces:
+        payload_bytes += len(piece)
         reader = BlobReader(lossless_decompress(piece))
         method_id = int(reader.read_json()["m"])
         name = METHOD_NAMES.get(method_id, f"?{method_id}")
         methods[axis][name] = methods[axis].get(name, 0) + 1
     return ContainerInfo(
-        snapshots=int(header["snapshots"]),
+        snapshots=snapshots,
         atoms=int(header["atoms"]),
         axes=n_axes,
         buffer_size=int(header["buffer_size"]),
@@ -301,12 +254,32 @@ def read_container_info(blob: bytes) -> ContainerInfo:
         method=str(header["method"]),
         sequence=str(header["sequence"]),
         n_buffers=n_buffers,
-        payload_bytes=len(payload),
+        payload_bytes=payload_bytes,
         methods_per_axis=tuple(methods),
         members=(
             tuple(str(m) for m in header["members"])
             if "members" in header
             else None
+        ),
+    )
+
+
+def read_container_info(blob: bytes) -> ContainerInfo:
+    """Inspect a container: header fields plus the per-buffer method tags."""
+    if container_version(blob) == 2:
+        from ..stream.reader import StreamingReader
+
+        return StreamingReader(blob).container_info()
+    header, index, payload = _open_container(blob)
+    n_axes = int(header["axes"])
+    offsets = [int(o) for o in index["offsets"]]
+    return summarize(
+        header,
+        int(header["snapshots"]),
+        len(offsets) // n_axes,
+        (
+            (i % n_axes, _blob_at(payload, offsets, i))
+            for i in range(len(offsets))
         ),
     )
 
@@ -331,9 +304,7 @@ def read_container_batch(blob: bytes, batch_index: int) -> np.ndarray:
         raise ContainerFormatError(
             f"batch {batch_index} out of range (container has {n_batches})"
         )
-    config = _config_from_header(header)
-    bounds = [float(b) for b in header["error_bounds"]]
-    sessions = _sessions(config, bounds, n_atoms)
+    sessions = decode_sessions(header)
     offsets = [int(o) for o in index["offsets"]]
     rows = min(bs, t_count - batch_index * bs)
     out = np.empty((rows, n_atoms, n_axes), dtype=np.float64)

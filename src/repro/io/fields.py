@@ -20,6 +20,8 @@ True
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from ..core.config import MDZConfig
@@ -71,20 +73,10 @@ def compress_fields(
                 f"fields disagree on (snapshots, atoms): {sorted(shapes)}"
             )
         bound = bounds[name] if isinstance(bounds, dict) else bounds
-        field_config = MDZConfig(
-            error_bound=bound,
-            error_bound_mode=base.error_bound_mode,
-            buffer_size=base.buffer_size,
-            quantization_scale=base.quantization_scale,
-            sequence_mode=base.sequence_mode,
-            method=base.method,
-            adp_members=base.adp_members,
-            adaptation_interval=base.adaptation_interval,
-            lossless_backend=base.lossless_backend,
-            level_seed=base.level_seed,
-        )
         writer.write_json({"name": name})
-        writer.write_bytes(write_container(data, field_config))
+        writer.write_bytes(
+            write_container(data, replace(base, error_bound=bound))
+        )
     return writer.getvalue()
 
 

@@ -1,10 +1,11 @@
 """Streaming compression subsystem: the chunked ``MDZ2`` container, a
 parallel compression executor, and the in-situ pipeline.
 
-The monolithic front end (:class:`repro.core.mdz.MDZ` +
-:mod:`repro.io.container`) needs the whole trajectory in memory and
-produces one ``MDZ1`` blob.  This package replaces that execution model
-for production use:
+:class:`StreamingWriter` is the one container writer.  The one-shot
+front end (:class:`repro.core.mdz.MDZ` + :mod:`repro.io.container`)
+holds the whole trajectory, resolves its error bounds over it, and feeds
+it through a serial writer; in-situ producers feed snapshots as they
+come.  The legacy monolithic ``MDZ1`` format is only read.
 
 * :mod:`repro.stream.format` — the append-only ``MDZ2`` frame layout
   (CRC-checked self-delimiting chunks, footer index, crash recovery);

@@ -53,6 +53,7 @@ failure is counted/logged through :mod:`repro.telemetry`
 from __future__ import annotations
 
 import multiprocessing
+import os
 import pickle
 import time
 from collections import OrderedDict, deque
@@ -93,11 +94,17 @@ def backoff_delay(attempt: int, base: float, cap: float) -> float:
 
 # -- shared-memory plumbing ---------------------------------------------
 #
-# Segments created by this process are remembered here so that (a) inline
+# Segments created by this process are remembered here so that inline
 # fallback jobs and fork-started workers reuse the mapping instead of
-# re-attaching, and (b) re-attaching in a spawn-started worker does not
-# hand ownership to that worker's resource tracker (which would unlink
-# the segment — still in use by the session — when the worker exits).
+# re-attaching.
+#
+# Workers share the parent's resource tracker under every start method:
+# spawn and forkserver children are handed its descriptor, and the pool
+# starts it before forking.  Attaching in a worker therefore re-registers
+# a name the tracker already holds, and only the owner's ``unlink()``
+# may unregister it: a worker unregistering on attach would drop the
+# owner's registration, and the owner's ``unlink()`` would then make the
+# tracker print a ``KeyError`` traceback.
 
 _LOCAL_SEGMENTS: dict[str, "object"] = {}
 
@@ -122,15 +129,6 @@ def _attach_segment(name: str):
     if seg is not None:
         return seg
     seg = _shm.SharedMemory(name=name)
-    try:
-        # Attaching registers the segment with this process's resource
-        # tracker as if it owned it; unregister so a worker exiting does
-        # not unlink (or warn about) a segment the session still owns.
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(seg._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker API is best-effort
-        pass
     _LOCAL_SEGMENTS[name] = seg
     return seg
 
@@ -464,6 +462,12 @@ class ParallelExecutor:
     def _ensure_pool(self) -> None:
         if self._pool is None and self.parallel:
             try:
+                if os.name == "posix":
+                    # Forked workers then share this tracker instead of
+                    # each starting their own (see _attach_segment).
+                    from multiprocessing import resource_tracker
+
+                    resource_tracker.ensure_running()
                 self._pool = multiprocessing.get_context().Pool(
                     processes=self.workers
                 )

@@ -1,8 +1,9 @@
 """The ``MDZ2`` append-only chunked container format.
 
-Unlike the monolithic ``MDZ1`` layout (header + index + one payload area,
-assembled in memory), ``MDZ2`` is written incrementally and is safe against
-a writer that dies mid-stream.  Layout (all integers little-endian)::
+Unlike the legacy monolithic ``MDZ1`` layout (header + index + one payload
+area, assembled in memory; now read-only), ``MDZ2`` is written
+incrementally and is safe against a writer that dies mid-stream.  Layout
+(all integers little-endian)::
 
     magic    : 4 bytes  b"MDZ2"
     header   : b"HDR2" | u32 len | JSON | u32 crc32(JSON)
@@ -34,8 +35,8 @@ Three parsing strictness levels build on the frame CRCs:
   chunks were lost instead of silently dropping the tail.
 
 A chunk's payload is exactly one :class:`~repro.core.mdz.MDZAxisCompressor`
-batch blob — the same bytes the ``MDZ1`` payload area concatenates — for
-buffer ``buffer`` of axis ``axis`` covering ``rows`` snapshots.
+batch blob — the same bytes a legacy ``MDZ1`` payload area concatenates —
+for buffer ``buffer`` of axis ``axis`` covering ``rows`` snapshots.
 The full byte-level specification (with a worked hex dump) lives in
 ``docs/formats.md``.
 """

@@ -6,7 +6,8 @@ Supports three access patterns:
   carried across buffers exactly like the writer's;
 * :meth:`StreamingReader.read_buffer` — random access to one buffer; VQ
   streams decode it directly, other methods first decode buffer 0 to
-  restore the session reference (same contract as ``MDZ1`` batch reads);
+  restore the session reference (same contract as legacy ``MDZ1`` batch
+  reads);
 * :meth:`StreamingReader.iter_buffers` — incremental consumption with
   bounded memory (the analysis-side half of the in-situ pipeline).
 
@@ -32,10 +33,8 @@ from typing import Iterator
 
 import numpy as np
 
-from ..baselines.api import SessionMeta
-from ..core.config import MDZConfig
-from ..core.mdz import MDZAxisCompressor
 from ..exceptions import ContainerFormatError
+from ..io.container import ContainerInfo, decode_sessions, summarize
 from . import format as fmt
 
 
@@ -235,27 +234,6 @@ class StreamingReader:
 
     # -- decoding -------------------------------------------------------
 
-    def _sessions(self) -> list[MDZAxisCompressor]:
-        extra = {}
-        if "members" in self._layout.header:
-            extra["adp_members"] = tuple(self._layout.header["members"])
-        config = MDZConfig(
-            error_bound=1.0,  # absolute per-axis bounds travel in begin()
-            error_bound_mode="absolute",
-            buffer_size=self.buffer_size,
-            quantization_scale=int(self._layout.header["scale"]),
-            sequence_mode=self.sequence,
-            method=self.method,
-            lossless_backend=str(self._layout.header["lossless"]),
-            **extra,
-        )
-        sessions = []
-        for bound in self.error_bounds:
-            session = MDZAxisCompressor(config)
-            session.begin(bound, SessionMeta(n_atoms=self.atoms))
-            sessions.append(session)
-        return sessions
-
     def _payload(self, buffer_index: int, axis: int) -> bytes:
         entry = self._chunk_map.get((buffer_index, axis))
         if entry is None:
@@ -265,22 +243,29 @@ class StreamingReader:
             )
         return fmt.chunk_payload(self._blob, entry)
 
+    def _decode_into(
+        self, sessions: list, buffer_index: int, out: np.ndarray
+    ) -> np.ndarray:
+        """Decode every axis of one buffer into ``out`` (rows, atoms, axes)."""
+        for a in range(self.axes):
+            out[:, :, a] = sessions[a].decompress_batch(
+                self._payload(buffer_index, a)
+            )
+        return out
+
     def _decode_buffer(self, buffer_index: int) -> np.ndarray:
         """Decode one buffer whose chunks are all present (no range check).
 
         VQ streams decode the target buffer directly; for the stateful
         methods buffer 0 is decoded first to restore the reference.
         """
-        sessions = self._sessions()
+        sessions = decode_sessions(self._layout.header)
+        if buffer_index > 0 and self.method != "vq":
+            for a in range(self.axes):
+                sessions[a].decompress_batch(self._payload(0, a))
         rows = self._chunk_map[(buffer_index, 0)].rows
         out = np.empty((rows, self.atoms, self.axes), dtype=np.float64)
-        for a in range(self.axes):
-            if buffer_index > 0 and self.method != "vq":
-                sessions[a].decompress_batch(self._payload(0, a))
-            out[:, :, a] = sessions[a].decompress_batch(
-                self._payload(buffer_index, a)
-            )
-        return out
+        return self._decode_into(sessions, buffer_index, out)
 
     def read_buffer(self, buffer_index: int) -> np.ndarray:
         """Decode one complete buffer to a ``(rows, atoms, axes)`` array.
@@ -297,32 +282,34 @@ class StreamingReader:
 
     def iter_buffers(self) -> Iterator[np.ndarray]:
         """Yield every complete buffer in order, with persistent sessions."""
-        sessions = self._sessions()
+        sessions = decode_sessions(self._layout.header)
         for b in range(self._n_complete):
             rows = self._chunk_map[(b, 0)].rows
             out = np.empty((rows, self.atoms, self.axes), dtype=np.float64)
-            for a in range(self.axes):
-                out[:, :, a] = sessions[a].decompress_batch(
-                    self._payload(b, a)
-                )
-            yield out
+            yield self._decode_into(sessions, b, out)
 
     def read_all(self) -> np.ndarray:
         """Decode every readable buffer into one ``(T, N, axes)`` array.
 
-        In normal/recover mode this is the complete-buffer prefix.  In
-        salvage mode every *decodable* buffer is included — also ones
-        after a damaged region — so the result's time axis may skip lost
-        snapshots; :meth:`salvage_report` maps rows back to global
-        snapshot indices.
+        In normal/recover mode this is the complete-buffer prefix, decoded
+        straight into one preallocated array.  In salvage mode every
+        *decodable* buffer is included — also ones after a damaged
+        region — so the result's time axis may skip lost snapshots;
+        :meth:`salvage_report` maps rows back to global snapshot indices.
         """
         if self._salvage:
             parts = [array for _, _, array in self.iter_salvaged()]
-        else:
-            parts = list(self.iter_buffers())
-        if not parts:
-            return np.empty((0, self.atoms, self.axes), dtype=np.float64)
-        return np.concatenate(parts, axis=0)
+            if not parts:
+                return np.empty((0, self.atoms, self.axes), dtype=np.float64)
+            return np.concatenate(parts, axis=0)
+        sessions = decode_sessions(self._layout.header)
+        out = np.empty((self.snapshots, self.atoms, self.axes), dtype=np.float64)
+        start = 0
+        for b in range(self._n_complete):
+            rows = self._chunk_map[(b, 0)].rows
+            self._decode_into(sessions, b, out[start:start + rows])
+            start += rows
+        return out
 
     # -- salvage --------------------------------------------------------
 
@@ -423,37 +410,14 @@ class StreamingReader:
 
     # -- inspection -----------------------------------------------------
 
-    def container_info(self):
+    def container_info(self) -> ContainerInfo:
         """Structural summary in the shared ``ContainerInfo`` shape."""
-        from ..core.methods import METHOD_NAMES
-        from ..io.container import ContainerInfo
-        from ..serde import BlobReader
-        from ..sz.lossless import lossless_decompress
-
-        methods: list[dict[str, int]] = [dict() for _ in range(self.axes)]
-        payload_bytes = 0
-        for entry in self._layout.chunks:
-            payload_bytes += entry.length
-            blob = fmt.chunk_payload(self._blob, entry)
-            reader = BlobReader(lossless_decompress(blob))
-            method_id = int(reader.read_json()["m"])
-            name = METHOD_NAMES.get(method_id, f"?{method_id}")
-            per_axis = methods[entry.axis]
-            per_axis[name] = per_axis.get(name, 0) + 1
-        return ContainerInfo(
-            snapshots=self.snapshots,
-            atoms=self.atoms,
-            axes=self.axes,
-            buffer_size=self.buffer_size,
-            error_bounds=self.error_bounds,
-            method=self.method,
-            sequence=self.sequence,
-            n_buffers=self._n_complete,
-            payload_bytes=payload_bytes,
-            methods_per_axis=tuple(methods),
-            members=(
-                tuple(str(m) for m in self._layout.header["members"])
-                if "members" in self._layout.header
-                else None
+        return summarize(
+            self._layout.header,
+            self.snapshots,
+            self._n_complete,
+            (
+                (entry.axis, fmt.chunk_payload(self._blob, entry))
+                for entry in self._layout.chunks
             ),
         )

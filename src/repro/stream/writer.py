@@ -11,9 +11,11 @@ point leaves a file whose fully written chunks are recoverable
 
 Error bounds: a value-range-relative bound is resolved against the value
 range of the *first* buffer of each axis (the whole trajectory is never
-visible at once).  The resolved absolute bounds travel in the header, so
-decompression is exact with respect to them regardless of later drift —
-drifting values simply fall into the quantizer's out-of-scope side
+visible at once), unless the caller passes resolved per-axis bounds as
+``error_bounds`` — :func:`repro.io.container.write_container` does, from
+the whole trajectory it holds.  The absolute bounds travel in the header,
+so decompression is exact with respect to them regardless of later drift
+— drifting values simply fall into the quantizer's out-of-scope side
 channel.
 
 Compression jobs are distributed through a
@@ -136,6 +138,10 @@ class StreamingWriter:
         ``fsync`` the output after every committed chunk.  Off by default
         (the OS flushes on close); turn on for in-situ runs where a node
         crash must not lose chunks the writer already reported durable.
+    error_bounds:
+        Absolute per-axis error bounds, one finite positive value per
+        axis.  ``None`` (default) resolves ``config``'s bound against the
+        first buffer's value range.
 
     Example
     -------
@@ -162,7 +168,17 @@ class StreamingWriter:
         workers: int = 0,
         executor: ParallelExecutor | None = None,
         sync: bool = False,
+        *,
+        error_bounds: Iterable[float] | None = None,
     ) -> None:
+        if error_bounds is not None:
+            error_bounds = [float(b) for b in error_bounds]
+            if not all(np.isfinite(b) and b > 0 for b in error_bounds):
+                raise CompressionError(
+                    f"error_bounds must be finite and positive, got "
+                    f"{error_bounds}"
+                )
+        self._error_bounds = error_bounds
         self.config = config if config is not None else MDZConfig()
         if isinstance(target, (str, Path)):
             self._path: Path | None = Path(target)
@@ -220,6 +236,14 @@ class StreamingWriter:
         if self._shape is None:
             if arr.size == 0:
                 raise CompressionError("cannot compress empty snapshots")
+            if (
+                self._error_bounds is not None
+                and len(self._error_bounds) != arr.shape[1]
+            ):
+                raise CompressionError(
+                    f"error_bounds has {len(self._error_bounds)} values "
+                    f"for {arr.shape[1]} axes"
+                )
             self._shape = arr.shape
             # Record the producer's true itemsize before the float64
             # working coercion: raw_bytes must reflect the source
@@ -333,16 +357,16 @@ class StreamingWriter:
     def _start(self, batch: np.ndarray) -> None:
         """First flush: resolve bounds, open sessions, write the header."""
         n_atoms, n_axes = self._shape
-        self._bounds = []
+        self._bounds = self._error_bounds
+        if self._bounds is None:
+            self._bounds = [
+                self.config.absolute_bound(float(axis.max() - axis.min()))
+                for axis in np.moveaxis(batch, 2, 0)
+            ]
         self._sessions = []
-        for a in range(n_axes):
-            axis = batch[:, :, a]
-            bound = self.config.absolute_bound(
-                float(axis.max() - axis.min())
-            )
+        for bound in self._bounds:
             session = MDZAxisCompressor(self.config)
             session.begin(bound, SessionMeta(n_atoms=n_atoms))
-            self._bounds.append(bound)
             self._sessions.append(session)
         header = {
             "atoms": n_atoms,
@@ -354,8 +378,8 @@ class StreamingWriter:
             "method": self.config.method,
             "lossless": self.config.lossless_backend,
         }
-        # Same rule as io/container.py: only a non-default ADP pool is
-        # recorded, so default streams stay byte-identical to the seed.
+        # Only a non-default ADP pool is recorded, so default streams
+        # stay byte-identical to the seed.
         if (
             self.config.method == "adp"
             and self.config.adp_members != DEFAULT_MEMBERS

@@ -2,8 +2,20 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+#: Legacy MDZ1 archives, written before MDZ1 became read-only
+#: (``tools/legacy_digests.py`` pins their digests).
+MDZ1_FIXTURES = Path(__file__).resolve().parent / "data" / "mdz1"
+
+
+@pytest.fixture
+def mdz1_archive() -> bytes:
+    """A legacy MDZ1 archive: default ADP pool, seq2, zlib, BS=5."""
+    return (MDZ1_FIXTURES / "adp-seq2-zlib.mdz").read_bytes()
 
 
 @pytest.fixture

@@ -3,14 +3,18 @@
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.core.config import MDZConfig
 from repro.core.mdz import MDZ
 from repro.exceptions import CompressionError, ContainerFormatError
 from repro.io.container import (
+    container_version,
     read_container,
     read_container_batch,
+    verify_container,
     write_container,
 )
+from repro.stream import StreamingReader, parse_stream
 
 
 class TestContainerRoundTrip:
@@ -68,8 +72,8 @@ class TestRandomAccess:
 
 
 class TestContainerErrors:
-    def test_bad_magic_rejected(self, trajectory):
-        blob = bytearray(write_container(trajectory, MDZConfig()))
+    def test_bad_magic_rejected(self, mdz1_archive):
+        blob = bytearray(mdz1_archive)
         blob[9] ^= 0xFF  # first magic byte (after the frame header)
         with pytest.raises(ContainerFormatError, match="magic"):
             read_container(bytes(blob))
@@ -117,14 +121,62 @@ class TestMDZFrontEnd:
 
 
 class TestIntegrity:
-    def test_payload_crc_detects_bit_flips(self, trajectory):
-        blob = bytearray(write_container(trajectory, MDZConfig(buffer_size=4)))
+    def test_payload_crc_detects_bit_flips(self, mdz1_archive):
+        blob = bytearray(mdz1_archive)
         blob[-10] ^= 0x01  # flip one bit deep inside the payload
         with pytest.raises(ContainerFormatError, match="checksum"):
             read_container(bytes(blob))
 
-    def test_crc_verified_on_batch_access(self, trajectory):
-        blob = bytearray(write_container(trajectory, MDZConfig(buffer_size=4)))
+    def test_crc_verified_on_batch_access(self, mdz1_archive):
+        blob = bytearray(mdz1_archive)
         blob[-10] ^= 0x01
         with pytest.raises(ContainerFormatError, match="checksum"):
             read_container_batch(bytes(blob), 0)
+
+
+class TestOneShotIsMDZ2:
+    """``MDZ.compress`` goes through the streaming writer, so one-shot
+    archives carry per-chunk CRCs and survive truncation."""
+
+    def test_compress_writes_mdz2(self, trajectory):
+        blob = MDZ(MDZConfig(buffer_size=4)).compress(trajectory)
+        assert container_version(blob) == 2
+        assert verify_container(blob)["intact"]
+
+    def test_bounds_resolved_over_whole_trajectory(self, trajectory):
+        # The range widens after the first buffer; a streaming producer
+        # would resolve against buffer 0 only.
+        widened = trajectory.copy()
+        widened[-1] *= 3.0
+        blob = write_container(widened, MDZConfig(buffer_size=4))
+        expected = [
+            1e-3 * (widened[:, :, a].max() - widened[:, :, a].min())
+            for a in range(3)
+        ]
+        assert StreamingReader(blob).error_bounds == pytest.approx(
+            expected, rel=1e-12
+        )
+
+    @pytest.fixture
+    def truncated(self, trajectory, tmp_path):
+        """An ``MDZ.compress`` archive cut in the middle of buffer 2."""
+        blob = MDZ(MDZConfig(buffer_size=4)).compress(trajectory)
+        chunk = [c for c in parse_stream(blob).chunks if c.buffer_index == 2][0]
+        path = tmp_path / "cut.mdz"
+        path.write_bytes(blob[: chunk.offset + chunk.length // 2])
+        return path, MDZ().decompress(blob)
+
+    def test_truncated_archive_reads_intact_prefix(self, truncated):
+        path, full = truncated
+        with pytest.raises(ContainerFormatError):
+            read_container(path.read_bytes())
+        prefix = StreamingReader(path, recover=True).read_all()
+        assert prefix.tobytes() == full[:8].tobytes()
+
+    def test_truncated_archive_repairs(self, truncated, tmp_path):
+        path, full = truncated
+        fixed = tmp_path / "fixed.mdz"
+        assert main(["repair", str(path), str(fixed)]) == 0
+        repaired = fixed.read_bytes()
+        assert verify_container(repaired)["intact"]
+        assert read_container(repaired).tobytes() == full[:8].tobytes()

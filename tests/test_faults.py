@@ -28,7 +28,7 @@ from repro.faults import (
     apply_posthoc,
     run_chaos,
 )
-from repro.io.container import verify_container, write_container
+from repro.io.container import verify_container
 from repro.stream import (
     StreamingReader,
     StreamingWriter,
@@ -346,8 +346,8 @@ def test_degenerate_files_raise_clean_errors(tmp_path, payload):
     assert "struct" not in message  # never leak struct.error internals
 
 
-def test_verify_container_dispatches_both_formats(positions, config, pristine):
-    mdz1 = write_container(positions, config)
+def test_verify_container_dispatches_both_formats(mdz1_archive, pristine):
+    mdz1 = mdz1_archive
     r1 = verify_container(mdz1)
     assert r1["format"] == "MDZ1" and r1["intact"]
     r1bad = verify_container(mdz1[:-7])

@@ -1,11 +1,16 @@
 """Tests for multi-field archives (positions + velocities + ...)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core.config import MDZConfig
 from repro.exceptions import CompressionError, ContainerFormatError
+from repro.io.container import write_container
 from repro.io.fields import compress_fields, decompress_fields
+from repro.serde import BlobReader
+from repro.telemetry import recording
 
 
 @pytest.fixture
@@ -52,6 +57,41 @@ class TestRoundTrip:
         raw = sum(np.asarray(v).astype(np.float32).nbytes for v in md_fields.values())
         archive = compress_fields(md_fields, bounds=1e-2)
         assert len(archive) < raw
+
+
+class TestFieldConfig:
+    """Each field is compressed with the whole base config, only its
+    bound replaced (``entropy_streams`` and ``audit_interval`` used to
+    be dropped)."""
+
+    BOUNDS = {"positions": 1e-3, "velocities": 1e-2, "energy": 1e-3}
+
+    @pytest.mark.parametrize("streams", [1, 8])
+    def test_field_container_equals_write_container(self, md_fields, streams):
+        config = MDZConfig(buffer_size=4, entropy_streams=streams)
+        archive = compress_fields(md_fields, bounds=self.BOUNDS, config=config)
+        reader = BlobReader(archive)
+        reader.read_bytes()  # magic
+        for name in reader.read_json():
+            assert reader.read_json() == {"name": name}
+            data = np.asarray(md_fields[name])
+            if data.ndim == 2:
+                data = data[:, :, None]
+            expected = write_container(
+                data, replace(config, error_bound=self.BOUNDS[name])
+            )
+            assert reader.read_bytes() == expected
+
+    def test_audit_interval_zero_runs_no_audit(self, md_fields):
+        with recording() as rec:
+            compress_fields(
+                md_fields,
+                bounds=self.BOUNDS,
+                config=MDZConfig(buffer_size=4, audit_interval=0),
+            )
+        snap = rec.snapshot()
+        assert "quality.audit" not in snap["timers"]
+        assert "quality.audits" not in snap["counters"]
 
 
 class TestValidation:

@@ -5,10 +5,11 @@ Four layers of guarantees:
 1. **Registry contract** — wire ids come from ``METHOD_IDS``, every
    member's declared stage composition resolves, pool validation rejects
    bad input.
-2. **Byte identity** — the registry refactor did not move a single byte
-   of any legacy archive.  Re-derives the 12 pinned configurations from
-   ``tools/legacy_digests.py`` in-process and compares against the
-   committed JSON captured on the pre-registry seed.
+2. **Byte identity** — no later change moved a single payload byte of
+   any legacy archive.  The 12 MDZ1 fixtures captured on the
+   pre-registry seed match their pinned digests, and today's archives
+   for the same configurations carry the same per-(buffer, axis)
+   payloads and decode bit-identically (``tools/legacy_digests.py``).
 3. **New members** — ``interp`` and ``bitadaptive`` round-trip within
    the bound across the container matrix, and ADP with the extended pool
    actually *selects* each of them on a regime built for it.
@@ -29,8 +30,11 @@ from repro.core.config import MDZConfig
 from repro.core.methods import METHOD_IDS
 from repro.exceptions import ConfigurationError, DecompressionError
 from repro.io.container import (
+    container_version,
     read_container,
+    read_container_batch,
     read_container_info,
+    verify_container,
     write_container,
 )
 from repro.sz.bitpack import (
@@ -151,13 +155,45 @@ class TestRegistryContract:
 
 class TestLegacyByteIdentity:
     def test_pinned_digests_match(self):
-        """The 12 canonical archives are byte-identical to the seed."""
+        """The 12 canonical MDZ1 fixtures are byte-identical to the seed."""
         pinned = legacy_digests.load(REPO_ROOT)["digests"]
         current = legacy_digests.compute()
         assert current == pinned, (
-            "legacy archive bytes drifted; if intentional, regenerate "
-            "with `python tools/legacy_digests.py --write`"
+            "an MDZ1 fixture under tests/data/mdz1/ changed; MDZ1 is "
+            "read-only, so restore it from version control"
         )
+
+    @pytest.mark.parametrize("key", sorted(legacy_digests.configs()))
+    def test_current_archive_matches_fixture(self, key):
+        """Today's archive keeps the fixture's per-(buffer, axis)
+        payloads, bounds and header fields, and decodes bit-identically."""
+        legacy = legacy_digests.fixture_path(REPO_ROOT, key).read_bytes()
+        current = write_container(
+            legacy_digests.pinned_trajectory(),
+            legacy_digests.configs()[key],
+        )
+        assert legacy_digests.compare(legacy, current) == []
+
+    @pytest.mark.parametrize("key", sorted(legacy_digests.configs()))
+    def test_fixture_stays_readable(self, key):
+        """MDZ1 is read-only, not unreadable: every fixture decodes,
+        batch-reads, reports ``info`` and passes ``verify``."""
+        legacy = legacy_digests.fixture_path(REPO_ROOT, key).read_bytes()
+        trajectory = legacy_digests.pinned_trajectory()
+        assert container_version(legacy) == 1
+        full = read_container(legacy)
+        assert full.shape == trajectory.shape
+        assert_in_bound(full, trajectory, 1e-3)
+        for b in range(4):  # 16 snapshots in buffers of 5
+            part = read_container_batch(legacy, b)
+            assert part.tobytes() == full[5 * b:5 * (b + 1)].tobytes()
+        info = read_container_info(legacy)
+        assert (info.snapshots, info.atoms, info.axes) == trajectory.shape
+        assert (info.n_buffers, info.buffer_size) == (4, 5)
+        assert info.method == key.split("/")[0] and info.members is None
+        assert sum(info.methods_per_axis[0].values()) == 4
+        report = verify_container(legacy)
+        assert report["format"] == "MDZ1" and report["intact"]
 
     def test_default_header_has_no_members_key(self, trajectory):
         """Default-pool archives must keep the legacy header shape."""

@@ -91,8 +91,9 @@ class TestStreamRoundTrip:
         assert stats.to_dict()["source_itemsize"] == 4
 
     def test_matches_monolithic_reconstruction_bound(self, trajectory):
-        # Same data through MDZ1 and MDZ2 obeys the same per-axis bounds
-        # when those bounds are absolute (no first-buffer range estimate).
+        # Same data through the one-shot and the streaming path obeys the
+        # same per-axis bounds when those bounds are absolute (no range
+        # estimate at all).
         config = MDZConfig(
             error_bound=0.02, error_bound_mode="absolute", buffer_size=4
         )
@@ -100,6 +101,38 @@ class TestStreamRoundTrip:
         streamed = stream_decompress(_stream_blob(trajectory, config))
         assert np.abs(mono - trajectory).max() <= 0.02 * (1 + 1e-9)
         assert np.abs(streamed - trajectory).max() <= 0.02 * (1 + 1e-9)
+
+
+class TestGivenErrorBounds:
+    """``StreamingWriter(error_bounds=...)``: resolved per-axis bounds
+    from the caller instead of the first buffer's value range."""
+
+    def test_bounds_recorded_and_honoured(self, trajectory):
+        bounds = [0.01, 0.02, 0.03]
+        sink = io.BytesIO()
+        with StreamingWriter(
+            sink, MDZConfig(buffer_size=4), error_bounds=bounds
+        ) as writer:
+            writer.feed_many(trajectory)
+        reader = StreamingReader(sink.getvalue())
+        assert reader.error_bounds == tuple(bounds)
+        errors = np.abs(reader.read_all() - trajectory).max(axis=(0, 1))
+        assert np.all(errors <= np.array(bounds) * (1 + 1e-9))
+
+    def test_wrong_length_rejected(self, trajectory):
+        writer = StreamingWriter(io.BytesIO(), error_bounds=[0.01, 0.01])
+        with pytest.raises(CompressionError, match="3 axes"):
+            writer.feed(trajectory[0])
+        writer.abort()
+
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), 0.0, -0.01]
+    )
+    def test_non_finite_or_non_positive_rejected(self, tmp_path, bad):
+        target = tmp_path / "never.mdz"
+        with pytest.raises(CompressionError, match="finite and positive"):
+            StreamingWriter(target, error_bounds=[0.01, bad, 0.01])
+        assert not target.exists()
 
 
 class TestRandomAccess:
@@ -129,8 +162,8 @@ class TestRandomAccess:
 
 
 class TestContainerDispatch:
-    def test_container_version(self, trajectory):
-        mono = write_container(trajectory, MDZConfig())
+    def test_container_version(self, trajectory, mdz1_archive):
+        mono = mdz1_archive
         streamed = _stream_blob(trajectory)
         assert container_version(mono) == 1
         assert container_version(streamed) == 2

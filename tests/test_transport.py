@@ -14,6 +14,10 @@ from __future__ import annotations
 import dataclasses
 import io
 import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -220,6 +224,50 @@ class TestShmLifecycle:
         writer.feed_many(traj[:12])
         writer.abort()
         assert _shm_entries() == before
+
+    def test_repeated_parallel_sessions_keep_tracker_quiet(self):
+        """Three parallel sessions in one process leave the resource
+        tracker consistent: a worker attaching a segment used to drop the
+        owner's registration, and the owner's unlink then made the
+        tracker print a ``KeyError`` traceback per segment."""
+        script = textwrap.dedent(
+            """
+            import io
+            import numpy as np
+            from repro.core.config import MDZConfig
+            from repro.stream import StreamingWriter
+
+            rng = np.random.default_rng(1)
+            data = rng.uniform(0, 10, (200, 3)) + np.cumsum(
+                rng.normal(0, 0.01, (60, 200, 3)), axis=0
+            )
+            archives = set()
+            for _ in range(3):
+                sink = io.BytesIO()
+                with StreamingWriter(
+                    sink, MDZConfig(buffer_size=5), workers=2
+                ) as writer:
+                    writer.feed_many(data)
+                archives.add(sink.getvalue())
+            print(len(archives))
+            """
+        )
+        before = _shm_entries()
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=300,
+            env={
+                **os.environ,
+                "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+            },
+        )
+        assert result.returncode == 0, result.stderr
+        assert "KeyError" not in result.stderr, result.stderr
+        assert result.stdout.split() == ["1"]  # identical archives
+        leaked = {e for e in _shm_entries() - before if e.startswith("psm_")}
+        assert not leaked
 
     def test_slot_grows_for_larger_payload(self):
         before = _shm_entries()

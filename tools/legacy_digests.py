@@ -1,20 +1,26 @@
 #!/usr/bin/env python
-"""Pin legacy-member archive bytes against the pre-registry seed.
+"""Pin legacy-member payload bytes against the committed MDZ1 fixtures.
 
-The stage-registry refactor (core/registry.py) must not change a single
-byte of any archive produced by the legacy members (VQ / VQT / MT and the
-default ADP pool).  This tool compresses one deterministic synthetic
-trajectory under the 12 canonical container configurations — every legacy
-method crossed with three framing variants — and records the BLAKE2b
-digest of each archive::
+``tests/data/mdz1/`` holds the 12 canonical archives the monolithic MDZ1
+writer produced on the pre-registry seed: one deterministic synthetic
+trajectory compressed under every legacy method (VQ / VQT / MT and the
+default ADP pool) crossed with three framing variants.
+``tests/data/legacy_digests.json`` pins each file's BLAKE2b digest.
 
-    python tools/legacy_digests.py --write    # rewrite tests/data/legacy_digests.json
-    python tools/legacy_digests.py --check    # exit 1 on any byte drift (CI)
+Nothing writes MDZ1 any more; today's ``write_container`` writes MDZ2.
+What must not move is the per-(buffer, axis) payload each session
+produces, so ``--check`` verifies, per configuration, that
 
-The JSON file is committed; ``tests/test_registry.py`` re-derives the
-digests in-process so a drift breaks the tier-1 suite, and the CI
-entropy-smoke job runs ``--check`` so it also fails fast with a
-one-line diff of which configuration moved.
+* the fixture still matches its pinned digest;
+* today's archive carries the same per-(buffer, axis) payloads, error
+  bounds and header fields as the fixture;
+* both archives decode bit-identically::
+
+    python tools/legacy_digests.py --check    # exit 1 on any drift (CI)
+
+``tests/test_registry.py`` runs the same checks in-process so a drift
+breaks the tier-1 suite, and the CI entropy-smoke job runs ``--check``
+so it also fails fast with one line per configuration that moved.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 import numpy as np  # noqa: E402
 
 DIGEST_PATH = Path("tests") / "data" / "legacy_digests.json"
+FIXTURE_DIR = Path("tests") / "data" / "mdz1"
 
 #: The 12 canonical container configurations: every legacy method crossed
 #: with three framing variants (sequence ordering, entropy fan-out, and
@@ -47,7 +54,7 @@ METHODS = ("vq", "vqt", "mt", "adp")
 
 
 def pinned_trajectory() -> np.ndarray:
-    """The deterministic (16, 120, 3) trajectory every digest derives from.
+    """The deterministic (16, 120, 3) trajectory every fixture derives from.
 
     Level-structured space plus smooth temporal drift, so VQ, VQT, and MT
     all see the regime they were built for and ADP's trials exercise all
@@ -60,81 +67,135 @@ def pinned_trajectory() -> np.ndarray:
     return levels[None, :, :] + vibration + drift
 
 
-def compute() -> dict:
-    """``{config key: blake2b hexdigest}`` over the 12 configurations."""
+def configs() -> dict:
+    """``{config key: MDZConfig}`` over the 12 configurations."""
     from repro.core.config import MDZConfig
-    from repro.io.container import write_container
 
-    trajectory = pinned_trajectory()
-    digests: dict[str, str] = {}
-    for method in METHODS:
-        for variant, fields in VARIANTS.items():
-            config = MDZConfig(
-                error_bound=1e-3,
-                buffer_size=5,
-                method=method,
-                **fields,
-            )
-            blob = write_container(trajectory, config)
-            key = f"{method}/{variant}"
-            digests[key] = hashlib.blake2b(blob, digest_size=16).hexdigest()
-    return digests
+    return {
+        f"{method}/{variant}": MDZConfig(
+            error_bound=1e-3, buffer_size=5, method=method, **fields
+        )
+        for method in METHODS
+        for variant, fields in VARIANTS.items()
+    }
+
+
+def fixture_path(root: Path, key: str) -> Path:
+    """The committed MDZ1 archive of configuration ``key``."""
+    return root / FIXTURE_DIR / (key.replace("/", "-") + ".mdz")
+
+
+def compute(root: Path = REPO_ROOT) -> dict:
+    """``{config key: blake2b hexdigest}`` of the 12 MDZ1 fixtures."""
+    return {
+        key: hashlib.blake2b(
+            fixture_path(root, key).read_bytes(), digest_size=16
+        ).hexdigest()
+        for key in configs()
+    }
 
 
 def load(root: Path) -> dict:
     return json.loads((root / DIGEST_PATH).read_text())
 
 
-def render(digests: dict) -> str:
-    return json.dumps(
-        {
-            "comment": (
-                "BLAKE2b-128 of write_container() output on the pinned "
-                "trajectory (tools/legacy_digests.py); regenerate only "
-                "when an intentional format change lands"
-            ),
-            "digests": digests,
-        },
-        indent=2,
-        sort_keys=True,
-    ) + "\n"
+def payloads(blob: bytes) -> tuple[dict, int, dict]:
+    """``(header, snapshots, {(buffer, axis): payload})`` of an archive
+    of either generation."""
+    from repro.io.container import container_version
+    from repro.serde import BlobReader
+    from repro.stream.format import chunk_payload, parse_stream
+
+    if container_version(blob) == 2:
+        layout = parse_stream(blob)
+        return layout.header, layout.snapshots, {
+            (c.buffer_index, c.axis): chunk_payload(blob, c)
+            for c in layout.chunks
+        }
+    reader = BlobReader(blob)
+    reader.read_bytes()  # magic
+    header = reader.read_json()
+    index = reader.read_json()
+    area = reader.read_bytes()
+    bounds = [int(o) for o in index["offsets"]] + [len(area)]
+    axes = int(header["axes"])
+    return header, int(header["snapshots"]), {
+        (i // axes, i % axes): area[bounds[i]:bounds[i + 1]]
+        for i in range(len(bounds) - 1)
+    }
+
+
+def compare(legacy: bytes, current: bytes) -> list[str]:
+    """How ``current`` departs from the ``legacy`` archive: per-(buffer,
+    axis) payloads, the header fields both generations record (error
+    bounds included), the snapshot count, and the decoded values."""
+    from repro.io.container import read_container
+
+    old_header, old_snapshots, old_payloads = payloads(legacy)
+    new_header, new_snapshots, new_payloads = payloads(current)
+    problems = []
+    if old_payloads != new_payloads:
+        moved = sorted(
+            k for k in old_payloads.keys() | new_payloads.keys()
+            if old_payloads.get(k) != new_payloads.get(k)
+        )
+        problems.append(f"payloads differ at (buffer, axis) {moved}")
+    # MDZ2 keeps the snapshot count in its footer and records no dtype.
+    shared = (old_header.keys() | new_header.keys()) - {"snapshots", "dtype"}
+    for name in sorted(shared):
+        if old_header.get(name) != new_header.get(name):
+            problems.append(
+                f"header {name!r}: {old_header.get(name)!r} != "
+                f"{new_header.get(name)!r}"
+            )
+    if old_snapshots != new_snapshots:
+        problems.append(f"snapshots: {old_snapshots} != {new_snapshots}")
+    old_values, new_values = read_container(legacy), read_container(current)
+    if (
+        old_values.shape != new_values.shape
+        or old_values.tobytes() != new_values.tobytes()
+    ):
+        problems.append("decoded values differ")
+    return problems
+
+
+def check(root: Path = REPO_ROOT) -> list[str]:
+    """Every drift found, one line each; empty when all 12 agree."""
+    from repro.exceptions import ReproError
+    from repro.io.container import write_container
+
+    pinned = load(root)["digests"]
+    found = compute(root)
+    problems = [
+        f"{key}: fixture digest {found.get(key, '<absent>')} != pinned "
+        f"{pinned.get(key, '<absent>')}"
+        for key in sorted(pinned.keys() | found.keys())
+        if found.get(key) != pinned.get(key)
+    ]
+    trajectory = pinned_trajectory()
+    for key, config in configs().items():
+        legacy = fixture_path(root, key).read_bytes()
+        current = write_container(trajectory, config)
+        try:
+            problems += [f"{key}: {p}" for p in compare(legacy, current)]
+        except ReproError as exc:  # a damaged fixture no longer decodes
+            problems.append(f"{key}: {exc}")
+    return problems
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=REPO_ROOT)
-    mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--write", action="store_true",
-                      help="rewrite the committed digest file")
-    mode.add_argument("--check", action="store_true",
-                      help="exit 1 when any archive's bytes drifted")
+    parser.add_argument("--check", action="store_true", required=True,
+                        help="exit 1 when any fixture or payload drifted")
     args = parser.parse_args(argv)
-    target = args.root / DIGEST_PATH
-    current = compute()
-    if args.write:
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(render(current))
-        print(f"wrote {target} ({len(current)} configurations)")
-        return 0
-    if not target.exists():
-        print(f"{target} missing; run `python tools/legacy_digests.py "
-              "--write`", file=sys.stderr)
+    problems = check(args.root)
+    for problem in problems:
+        print(problem, file=sys.stderr)
+    if problems:
         return 1
-    pinned = load(args.root)["digests"]
-    drifted = sorted(
-        key for key in pinned
-        if current.get(key) != pinned[key]
-    ) + sorted(set(current) - set(pinned))
-    if drifted:
-        for key in drifted:
-            print(
-                f"archive bytes drifted for {key}: "
-                f"pinned {pinned.get(key, '<absent>')} != "
-                f"current {current.get(key, '<absent>')}",
-                file=sys.stderr,
-            )
-        return 1
-    print(f"all {len(pinned)} legacy archive digests match")
+    print(f"all {len(configs())} legacy fixtures match their digests, "
+          "payloads and decoded values")
     return 0
 
 
