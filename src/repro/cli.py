@@ -267,15 +267,8 @@ def _format_stage_table(
 ) -> str:
     """Human-readable per-stage breakdown of one telemetry snapshot."""
     lines = []
-    # Timers that share a name with a gauge are value *distributions*
-    # (quality.ratio, quality.bound_margin, ...) fed through observe(),
-    # not durations — keep them out of the wall-clock stage table.
+    timers = snapshot.get("timers", {})
     gauges = snapshot.get("gauges", {})
-    timers = {
-        name: cell
-        for name, cell in snapshot.get("timers", {}).items()
-        if name not in gauges
-    }
     if timers:
         lines.append(
             f"{'stage':28s}{'calls':>8s}{'seconds':>10s}{'% wall':>8s}"

@@ -13,18 +13,11 @@ Selection happens per axis — Table VI shows ADP picking VQ for x/y and MT
 for z on Copper-B — which falls out naturally here because every axis
 stream runs its own session.
 
-Trials are *cheap* by construction: every member runs only its fused
+Trials are exhaustive, as in the paper: every member runs its fused
 ``prepare`` kernels (sharing intermediates — VQT's head is a row slice of
-VQ's full-batch pass), and candidates are sized from entropy estimates +
-cached codebook stats instead of three full encodes.  Estimates are mapped
-to predicted *final* (dictionary-coded) sizes through per-method ratios
-learned from past exact trials; only candidates within
-:data:`TRIAL_MARGIN` of the best prediction are fully serialized and
-compressed, and the winner among those is exact.  The first two trials of
-a session and every :data:`EXACT_REFRESH`-th trial thereafter compare all
-members exactly, keeping the ratios honest as data drifts.  The winner's
-payload is always a full exact encode, so archives are byte-identical to
-an exhaustive selector whenever the winner choice agrees.
+VQ's full-batch pass), then every member's payload is serialized and
+dictionary-coded, and the smallest *final* size wins.  The winner's
+payload is the one the trial produced, so a trial costs no extra encode.
 """
 
 from __future__ import annotations
@@ -38,30 +31,15 @@ from ..telemetry import get_recorder
 from .methods import MDZMethod, MethodState
 from .registry import DEFAULT_MEMBERS, get_method, validate_members
 
-#: Candidates whose predicted final size is within this fraction of the
-#: best prediction are fully encoded and compared exactly.  Generous on
-#: purpose: the estimate cannot see cross-symbol structure the dictionary
-#: coder exploits, so only clearly-dominated members may be skipped.
-TRIAL_MARGIN = 0.5
-
-#: Every this-many trials (after the two session-opening ones) all members
-#: are compared exactly, refreshing the per-method size ratios.
-EXACT_REFRESH = 4
-
 
 @dataclass
 class SelectionRecord:
-    """One ADP evaluation: the buffer index, trial sizes, and the winner.
-
-    ``estimated`` lists the members whose recorded size is a ratio-scaled
-    prediction rather than an exact dictionary-coded byte count (empty for
-    exact trials).
-    """
+    """One ADP evaluation: the buffer index, each member's dictionary-coded
+    trial size, and the winner."""
 
     buffer_index: int
     sizes: dict[str, int]
     chosen: str
-    estimated: tuple[str, ...] = ()
 
 
 @dataclass
@@ -81,15 +59,6 @@ class ADPSelector:
     current: str | None = None
     buffers_seen: int = 0
     history: list[SelectionRecord] = field(default_factory=list)
-    #: Per-method (sum of exact final sizes, sum of estimates) pairs — the
-    #: learned estimate -> final correction applied at estimated trials.
-    ratio_stats: dict[str, tuple[int, int]] = field(default_factory=dict)
-    trials_run: int = 0
-    #: Candidate margin for estimated trials; ``float("inf")`` disables
-    #: the shortcut entirely and reproduces the exhaustive selector.
-    margin: float = TRIAL_MARGIN
-    #: Exact-trial cadence (after the two session-opening exact trials).
-    exact_refresh: int = EXACT_REFRESH
 
     def __post_init__(self) -> None:
         if self.methods is None:
@@ -99,16 +68,6 @@ class ADPSelector:
             }
         else:
             self.members = tuple(self.methods)
-
-    def _note_ratio(self, name: str, estimate: int, final: int) -> None:
-        prev_final, prev_est = self.ratio_stats.get(name, (0, 0))
-        self.ratio_stats[name] = (prev_final + final, prev_est + estimate)
-
-    def _predicted_final(self, name: str, estimate: int) -> int:
-        total_final, total_est = self.ratio_stats.get(name, (0, 0))
-        if total_est <= 0:
-            return estimate
-        return max(1, int(round(estimate * (total_final / total_est))))
 
     def trial_due(self) -> bool:
         """True when the next buffer must run a multi-way trial.
@@ -158,63 +117,29 @@ class ADPSelector:
             # annotated after the span closes, so it does land there.
             with recorder.timer("adp.trial"), \
                     recorder.span("adp.trial", absorb=True):
-                # Every member runs only its fused prepare kernels; the
-                # shared dict lets VQT slice VQ's full-batch intermediates
-                # instead of re-quantizing the head snapshot.
+                # The shared dict lets VQT slice VQ's full-batch
+                # intermediates instead of re-quantizing the head snapshot.
+                # Members are ranked by *final* size: the dictionary coder
+                # is where e.g. VQ's repeated level-index streams
+                # collapse, so ranking raw payloads would misjudge them.
                 shared: dict = {}
-                states: dict[str, MethodState] = {}
                 prepared: dict[str, object] = {}
-                for name, method in self.methods.items():
-                    with recorder.span(f"adp.trial.{name}", absorb=True):
-                        states[name] = state.clone_for_trial()
-                        prepared[name] = method.prepare(
-                            batch, states[name], shared
-                        )
-                estimates = {
-                    name: method.estimate(prepared[name], states[name])
-                    for name, method in self.methods.items()
-                }
-                exact = self.trials_run < 2 or (
-                    self.trials_run % self.exact_refresh == 0
-                )
-                if exact:
-                    candidates = list(self.methods)
-                else:
-                    predicted = {
-                        name: self._predicted_final(name, estimates[name])
-                        for name in self.methods
-                    }
-                    cutoff = min(predicted.values()) * (1.0 + self.margin)
-                    candidates = [
-                        name for name in self.methods
-                        if predicted[name] <= cutoff
-                    ]
-                # Compare *final* sizes among the candidates: the
-                # dictionary-coder stage is where e.g. VQ's repeated
-                # level-index streams collapse, so ranking raw payloads
-                # would misjudge the methods.  The estimate stage cannot
-                # see that either, which is exactly why skipped members
-                # must be clearly dominated and ratios are re-learned
-                # from every exact encode.
                 blobs: dict[str, bytes] = {}
                 sizes: dict[str, int] = {}
-                for name in candidates:
+                for name, method in self.methods.items():
                     with recorder.span(f"adp.trial.{name}", absorb=True):
-                        blobs[name] = self.methods[name].serialize(
-                            prepared[name], states[name]
+                        trial_state = state.clone_for_trial()
+                        prepared[name] = method.prepare(
+                            batch, trial_state, shared
+                        )
+                        blobs[name] = method.serialize(
+                            prepared[name], trial_state
                         )
                     sizes[name] = len(
                         lossless_compress(blobs[name], state.lossless_backend)
                     )
-                    self._note_ratio(name, estimates[name], sizes[name])
-                skipped = tuple(n for n in self.methods if n not in sizes)
-                for name in skipped:
-                    sizes[name] = self._predicted_final(name, estimates[name])
             previous = self.current
-            self.current = min(
-                candidates, key=lambda name: (sizes[name], name)
-            )
-            self.trials_run += 1
+            self.current = min(sizes, key=lambda name: (sizes[name], name))
             recorder.annotate(
                 adp_trial=True, adp_sizes=sizes, adp_chosen=self.current
             )
@@ -223,8 +148,6 @@ class ADPSelector:
                 recorder.count(f"adp.winner.{self.current}")
                 if previous is not None and previous != self.current:
                     recorder.count("adp.switches")
-                if skipped:
-                    recorder.count("adp.trial.skipped_encodes", len(skipped))
                 for name, size in sizes.items():
                     recorder.count(f"adp.trial_bytes.{name}", size)
             self.history.append(
@@ -232,7 +155,6 @@ class ADPSelector:
                     buffer_index=self.buffers_seen,
                     sizes=sizes,
                     chosen=self.current,
-                    estimated=skipped,
                 )
             )
             blob = blobs[self.current]
@@ -249,5 +171,3 @@ class ADPSelector:
         self.current = None
         self.buffers_seen = 0
         self.history.clear()
-        self.ratio_stats.clear()
-        self.trials_run = 0

@@ -1,13 +1,12 @@
-"""Bitadaptive: per-region bit-depth member (registry id 5).
+"""Bitadaptive: per-region bit-depth member (wire id 5).
 
-The second new member added through the stage registry, and the proof
-that the registry made members cheap: it *is* :class:`~repro.core.mt.
-MTMethod` — same reference-head + time-wise-tail prediction — with the
-entropy backend swapped from the global Huffman codebook to the
-per-region bit-adaptive packer (:mod:`repro.sz.bitpack`, following the
-particle-compression approach of arXiv 2404.02826).  One attribute
-override; prediction, state handling, ADP trial sizing, and streaming
-dispatch are all inherited.
+It *is* :class:`~repro.core.mt.MTMethod` — same reference-head +
+time-wise-tail prediction — with the entropy backend swapped from the
+global Huffman codebook to the per-region bit-adaptive packer
+(:mod:`repro.sz.bitpack`, following the particle-compression approach
+of arXiv 2404.02826).  One attribute override (``encoder = BITPACK``);
+prediction, state handling, ADP trials, and streaming dispatch are all
+inherited.
 
 Where it wins: mixtures of regimes.  A single Huffman codebook over a
 buffer whose regions have different residual spreads pays ~1 bit per
@@ -18,6 +17,7 @@ region of constant codes costs zero payload bits.
 
 from __future__ import annotations
 
+from ..sz.stages import BITPACK
 from .mt import MTMethod
 from .registry import register_method
 
@@ -26,15 +26,13 @@ class BitAdaptiveMethod(MTMethod):
     """MT prediction with per-region bit-adaptive serialization."""
 
     name = "bitadaptive"
-    encoder_name = "bitpack"
+    encoder = BITPACK
 
 
 register_method(
     "bitadaptive",
     BitAdaptiveMethod,
     needs_reference=True,
-    predictors=("reference", "lorenzo1d", "timewise"),
-    encoder="bitpack",
     description=(
         "MT prediction with per-region (offset, bit-width) fixed "
         "packing instead of Huffman; wins when local code ranges differ "

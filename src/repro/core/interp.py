@@ -1,14 +1,13 @@
-"""Interp: SZ3-style spline-interpolation member (registry id 4).
+"""Interp: SZ3-style spline-interpolation member (wire id 4).
 
-The first genuinely new member added through the stage registry
-(:mod:`repro.core.registry`): a temporal binary interpolation cascade,
-the same design SZ3 (arXiv 2111.02925) uses along mesh dimensions,
-applied along each buffer's time axis.  The buffer root is coded with
-1-D Lorenzo prediction; every other snapshot is a cascade midpoint
-predicted from *reconstructed* neighbours with either linear or cubic
-(4-point Catmull-Rom-like) interpolation — the better order is chosen
-per buffer from the estimate stage, which is the "dynamic" part of
-SZ-Interp.
+A temporal binary interpolation cascade, the same design SZ3 (arXiv
+2111.02925) uses along mesh dimensions, applied along each buffer's time
+axis.  The buffer root is coded with 1-D Lorenzo prediction; every
+other snapshot is a cascade midpoint predicted from *reconstructed*
+neighbours with either linear or cubic (4-point Catmull-Rom-like)
+interpolation — the better order is chosen per buffer from the Huffman
+size estimate of each order's level blocks, which is the "dynamic" part
+of SZ-Interp.
 
 Where it wins: smoothly curving trajectories (oscillation, inertial
 drift).  Time-wise chain prediction (VQT/MT tails) pays for the full
@@ -20,8 +19,7 @@ trade is favourable (``--methods adp --adp-members ...interp``).
 Buffers are self-contained (no session reference, like VQ), so interp
 buffers decode in isolation and mix freely with any other member under
 ADP.  All cascade kernels are shared with the SZ-Interp baseline
-(:mod:`repro.sz.interp`) and resolved through the predictor-stage
-registry.
+(:mod:`repro.sz.interp`).
 """
 
 from __future__ import annotations
@@ -30,8 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..exceptions import DecompressionError
 from ..serde import BlobReader, BlobWriter
-from ..sz.interp import level_plan, reconstruct_level
+from ..sz.interp import interpolate, level_plan, reconstruct_level
+from ..sz.pipeline import (
+    decode_int_stream,
+    encode_int_stream,
+    estimate_int_stream_bytes,
+)
 from ..sz.predictors import lorenzo_1d_encode, lorenzo_1d_reconstruct
 from ..sz.quantizer import QuantizedBlock
 from .methods import MDZMethod, MethodState
@@ -57,34 +61,19 @@ class InterpMethod(MDZMethod):
     """Temporal interpolation cascade with per-buffer order selection."""
 
     name = "interp"
-    #: Encoder-stage registry key (``repro.core.registry.ENCODERS``).
-    encoder_name = "huffman-int-stream"
-
-    def _encoder(self):
-        from .registry import ENCODERS, ensure_members
-
-        ensure_members()
-        return ENCODERS.create(self.encoder_name)
-
-    def _predictor(self, order: str):
-        from .registry import PREDICTORS, ensure_members
-
-        ensure_members()
-        return PREDICTORS.get(f"interp-{order}").factory
 
     def _cascade(self, batch, state: MethodState, order: str):
         """Encode one buffer at the given order; returns an
         :class:`InterpPrepared` (prediction always reads the running
         reconstruction, so the result is exactly error-bounded)."""
         quantizer = state.quantizer
-        predict = self._predictor(order)
         anchor = float(batch[0, 0])
         root, root_recon = lorenzo_1d_encode(batch[0], quantizer, anchor)
         recon = np.empty_like(batch, dtype=np.float64)
         recon[0] = root_recon
         blocks: list[QuantizedBlock] = []
         for stride, idx, is_anchor in level_plan(batch.shape[0]):
-            pred = predict(recon, idx, stride, is_anchor)
+            pred = interpolate(recon, idx, stride, order, is_anchor)
             codes = np.rint(
                 (batch[idx] - pred) / quantizer.bin_width
             ).astype(np.int64)
@@ -102,14 +91,13 @@ class InterpMethod(MDZMethod):
         )
 
     def prepare(self, batch, state: MethodState, shared=None):
-        encoder = self._encoder()
         best = None
         best_cost = None
         for order in ORDERS:
             candidate = self._cascade(batch, state, order)
             # The root is order-independent; compare level payloads only.
             cost = sum(
-                encoder.estimate(
+                estimate_int_stream_bytes(
                     block,
                     state.layout,
                     alphabet_hint=state.quantizer.scale + 1,
@@ -122,7 +110,6 @@ class InterpMethod(MDZMethod):
         return best
 
     def serialize(self, prepared: InterpPrepared, state: MethodState):
-        encoder = self._encoder()
         writer = BlobWriter()
         writer.write_json(
             {
@@ -132,7 +119,7 @@ class InterpMethod(MDZMethod):
             }
         )
         writer.write_bytes(
-            encoder.encode(
+            encode_int_stream(
                 prepared.root,
                 "C",
                 alphabet_hint=state.quantizer.scale + 1,
@@ -141,7 +128,7 @@ class InterpMethod(MDZMethod):
         )
         for block in prepared.blocks:
             writer.write_bytes(
-                encoder.encode(
+                encode_int_stream(
                     block,
                     state.layout,
                     alphabet_hint=state.quantizer.scale + 1,
@@ -150,16 +137,16 @@ class InterpMethod(MDZMethod):
             )
         return writer.getvalue()
 
+    # Unused by ADP; kept because mdzbench/layertrace.py wraps it by name.
     def estimate(self, prepared: InterpPrepared, state: MethodState):
-        encoder = self._encoder()
-        total = 64 + encoder.estimate(
+        total = 64 + estimate_int_stream_bytes(
             prepared.root,
             "C",
             alphabet_hint=state.quantizer.scale + 1,
             streams=state.entropy_streams,
         )
         for block in prepared.blocks:
-            total += encoder.estimate(
+            total += estimate_int_stream_bytes(
                 block,
                 state.layout,
                 alphabet_hint=state.quantizer.scale + 1,
@@ -171,20 +158,20 @@ class InterpMethod(MDZMethod):
         return prepared.recon
 
     def decode(self, blob, state: MethodState):
-        encoder = self._encoder()
         reader = BlobReader(blob)
         meta = reader.read_json()
         shape = tuple(int(x) for x in meta["shape"])
         order = str(meta["order"])
-        predict = self._predictor(order)
+        if order not in ORDERS:
+            raise DecompressionError(f"unknown interp order {order!r}")
         anchor = float(meta["anchor"])
         quantizer = state.quantizer
-        root = encoder.decode(reader.read_bytes())
+        root = decode_int_stream(reader.read_bytes())
         out = np.empty(shape, dtype=np.float64)
         out[0] = lorenzo_1d_reconstruct(root, quantizer, anchor)
         for stride, idx, is_anchor in level_plan(shape[0]):
-            block = encoder.decode(reader.read_bytes())
-            pred = predict(out, idx, stride, is_anchor)
+            block = decode_int_stream(reader.read_bytes())
+            pred = interpolate(out, idx, stride, order, is_anchor)
             out[idx] = reconstruct_level(block, pred, quantizer)
         return out
 
@@ -192,8 +179,6 @@ class InterpMethod(MDZMethod):
 register_method(
     "interp",
     InterpMethod,
-    predictors=("lorenzo1d", "interp-linear", "interp-cubic"),
-    encoder="huffman-int-stream",
     description=(
         "SZ3-style temporal interpolation cascade (linear/cubic chosen "
         "per buffer); residuals track second differences, so it wins on "

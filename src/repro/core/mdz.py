@@ -109,7 +109,6 @@ class MDZAxisCompressor(Compressor):
                 method=name,
                 rows=int(batch.shape[0]),
                 raw_values=int(batch.size),
-                raw_bytes=int(batch.size) * 4,  # float32 storage convention
                 compressed_bytes=len(blob),
                 error_bound=self.error_bound,
             )
@@ -166,11 +165,6 @@ class MDZAxisCompressor(Compressor):
         if self._selector.trial_due():
             return None
         return self._selector.current
-
-    def export_session_seed(self):
-        """The frozen cross-buffer state: ``(reference, level_fit)``."""
-        state = self._require_state()
-        return state.reference, state.levels.fit
 
     def export_session_state(self, method: str):
         """The frozen state for out-of-session encoding with ``method``,

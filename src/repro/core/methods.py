@@ -1,9 +1,10 @@
-"""Shared machinery for MDZ's three prediction methods.
+"""Shared machinery for MDZ's prediction methods (the ADP members).
 
-Each method (VQ, VQT, MT) is a stateless strategy object operating on a
-:class:`MethodState` that carries the per-session artifacts: the quantizer,
-the cached level model, the sequence layout, and — for MT — the
-reconstruction of the session's first snapshot (the paper's "snapshot 0").
+Each method (VQ, VQT, MT, interp, bitadaptive) is a stateless strategy
+object operating on a :class:`MethodState` that carries the per-session
+artifacts: the quantizer, the cached level model, the sequence layout,
+and — for MT — the reconstruction of the session's first snapshot (the
+paper's "snapshot 0").
 
 ``encode`` returns both the serialized payload *and* the full batch
 reconstruction; the session uses the reconstruction to maintain the MT
@@ -76,10 +77,10 @@ class MethodState:
 
 
 class MDZMethod(ABC):
-    """One of MDZ's prediction strategies (VQ / VQT / MT).
+    """One of MDZ's prediction strategies (VQ / VQT / MT / ...).
 
-    The encode side is split into two stages so the ADP selector can run
-    cheap trials:
+    The encode side is split into two stages so an ADP trial can share
+    work between members:
 
     * :meth:`prepare` — the fused quantize/predict/residual kernels.
       Returns a method-specific prepared object carrying every
@@ -89,14 +90,12 @@ class MDZMethod(ABC):
       it instead of re-quantizing.
     * :meth:`serialize` — turns a prepared object into the wire payload.
 
-    :meth:`estimate` prices a prepared object (approximate serialized
-    bytes, pre-lossless) from histograms and cached codebook stats without
-    packing a single bit; the selector sizes trial candidates with it and
-    serializes only the winner.  :meth:`encode` composes the two stages
-    and is what non-trial callers use.
+    :meth:`encode` composes the two stages and is what non-trial callers
+    use.  A member holds its stages directly (module functions or a
+    backend object such as :data:`repro.sz.stages.HUFFMAN_INT_STREAM`).
     """
 
-    #: Short name ("vq", "vqt", "mt").
+    #: Short name ("vq", "vqt", "mt", ...).
     name: str = "abstract"
 
     @property
@@ -111,10 +110,6 @@ class MDZMethod(ABC):
     @abstractmethod
     def serialize(self, prepared, state: MethodState) -> bytes:
         """Serialize a :meth:`prepare` result into the wire payload."""
-
-    @abstractmethod
-    def estimate(self, prepared, state: MethodState) -> int:
-        """Approximate serialized byte count of a :meth:`prepare` result."""
 
     @abstractmethod
     def reconstruction(self, prepared) -> np.ndarray:

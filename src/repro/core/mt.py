@@ -30,6 +30,7 @@ from ..sz.predictors import (
     timewise_reconstruct,
 )
 from ..sz.quantizer import QuantizedBlock
+from ..sz.stages import HUFFMAN_INT_STREAM
 from .methods import MDZMethod, MethodState
 from .registry import register_method
 
@@ -49,22 +50,15 @@ class MTPrepared:
 class MTMethod(MDZMethod):
     """Initial-snapshot head + time-based tail within each buffer.
 
-    The entropy backend is resolved by name from the encoder-stage
-    registry, so a subclass swaps its whole serialization by overriding
-    :attr:`encoder_name` (see :class:`repro.core.bitadaptive`).  The
-    default resolves to the exact :mod:`repro.sz.pipeline` functions the
-    pre-registry code called, so MT archives are byte-identical.
+    The entropy backend is the :attr:`encoder` attribute, so a subclass
+    swaps its whole serialization by setting it (see
+    :class:`repro.core.bitadaptive.BitAdaptiveMethod`).
     """
 
     name = "mt"
-    #: Encoder-stage registry key (``repro.core.registry.ENCODERS``).
-    encoder_name = "huffman-int-stream"
-
-    def _encoder(self):
-        from .registry import ENCODERS, ensure_members
-
-        ensure_members()
-        return ENCODERS.create(self.encoder_name)
+    #: Entropy backend: ``encode`` / ``estimate`` / ``decode`` over
+    #: quantized blocks (:mod:`repro.sz.stages`).
+    encoder = HUFFMAN_INT_STREAM
 
     def prepare(self, batch, state: MethodState, shared=None):
         bootstrap = state.reference is None
@@ -96,7 +90,7 @@ class MTMethod(MDZMethod):
         )
 
     def serialize(self, prepared: MTPrepared, state: MethodState):
-        encoder = self._encoder()
+        encoder = self.encoder
         writer = BlobWriter()
         writer.write_json(
             {"shape": list(prepared.shape), "bootstrap": prepared.bootstrap}
@@ -122,8 +116,9 @@ class MTMethod(MDZMethod):
             )
         return writer.getvalue()
 
+    # Unused by ADP; kept because mdzbench/layertrace.py wraps it by name.
     def estimate(self, prepared: MTPrepared, state: MethodState):
-        encoder = self._encoder()
+        encoder = self.encoder
         total = 48 + encoder.estimate(
             prepared.head,
             "C",
@@ -143,7 +138,7 @@ class MTMethod(MDZMethod):
         return prepared.recon
 
     def decode(self, blob, state: MethodState):
-        encoder = self._encoder()
+        encoder = self.encoder
         reader = BlobReader(blob)
         meta = reader.read_json()
         shape = tuple(int(x) for x in meta["shape"])
@@ -172,8 +167,6 @@ register_method(
     "mt",
     MTMethod,
     needs_reference=True,
-    predictors=("reference", "lorenzo1d", "timewise"),
-    encoder="huffman-int-stream",
     description=(
         "Multi-level time-based: buffer head predicted from the session "
         "reference snapshot (Lorenzo bootstrap for the first buffer), "

@@ -1,33 +1,26 @@
-"""Composable stage and method registries.
+"""The method registry: ADP members looked up by name.
 
 MDZ's multi-algorithm ADP selector wins because it can pick the best
 member per buffer — which is only as valuable as the pool of members it
-can pick from.  This module makes that pool open: compression *methods*
-(the ADP-selectable members) and the *stages* they compose — predictors,
-quantizers, and encoders — are looked up by name in registries instead of
-being hard-wired into ``core/mdz.py`` and ``core/adaptive.py``.
+can pick from.  This module keeps that pool open: compression *methods*
+(the ADP-selectable members) are looked up by name instead of being
+hard-wired into ``core/mdz.py`` and ``core/adaptive.py``.
 
-The shape is the classic name -> factory lookup dict (SZ3 recasts SZ the
-same way: a compressor is a composition of interchangeable predictor /
-quantizer / encoder stages).  Adding a member is:
+The shape is the classic name -> factory lookup dict.  A member composes
+its predictor, quantizer and encoder stages in code, as SZ3 does; there
+is no stage lookup.  Adding a member is:
 
 1. implement the :class:`~repro.core.methods.MDZMethod` contract
-   (``prepare`` / ``serialize`` / ``estimate`` / ``reconstruction`` /
-   ``decode`` — see ``docs/stages.md`` for the worked tutorial);
+   (``prepare`` / ``serialize`` / ``reconstruction`` / ``decode`` — see
+   ``docs/stages.md`` for the worked tutorial);
 2. reserve a wire id in :data:`~repro.core.methods.METHOD_IDS`;
 3. call :func:`register_method` at module import and list the module in
    :func:`ensure_members`.
 
 Everything else — ADP trials, the streaming executor's out-of-session
 dispatch, container method tags, ``mdz info`` summaries, the CLI
-``--methods`` flag, and the generated ``docs/stages.md`` tables — picks
-the new member up from the registry.
-
-Stage registries (:data:`PREDICTORS`, :data:`QUANTIZERS`,
-:data:`ENCODERS`) serve two roles: new members build themselves from
-stage lookups instead of private imports, and the docs generator
-(``tools/list_stages.py``) renders the authoritative composition tables
-from the same entries the code resolves at runtime.
+``--methods`` flag, and the generated member table in ``docs/stages.md``
+— picks the new member up from the registry.
 """
 
 from __future__ import annotations
@@ -45,69 +38,6 @@ DEFAULT_MEMBERS = ("vq", "vqt", "mt")
 
 
 @dataclass(frozen=True)
-class StageEntry:
-    """One registered stage: a named, documented factory."""
-
-    name: str
-    kind: str  # "predictor" | "quantizer" | "encoder"
-    factory: Callable
-    description: str
-    ref: str  # code pointer, e.g. "sz/predictors.py"
-
-
-class StageRegistry:
-    """Name -> :class:`StageEntry` lookup for one stage kind.
-
-    A thin ordered dict wrapper; iteration order is registration order,
-    which is also the order the documentation tables render in.
-    """
-
-    def __init__(self, kind: str) -> None:
-        self.kind = kind
-        self._entries: dict[str, StageEntry] = {}
-
-    def register(
-        self, name: str, factory: Callable, *, description: str, ref: str
-    ) -> Callable:
-        if name in self._entries:
-            raise ConfigurationError(
-                f"duplicate {self.kind} stage {name!r}"
-            )
-        self._entries[name] = StageEntry(
-            name=name,
-            kind=self.kind,
-            factory=factory,
-            description=description,
-            ref=ref,
-        )
-        return factory
-
-    def get(self, name: str) -> StageEntry:
-        try:
-            return self._entries[name]
-        except KeyError:
-            raise ConfigurationError(
-                f"unknown {self.kind} stage {name!r}; "
-                f"registered: {', '.join(self._entries) or '(none)'}"
-            ) from None
-
-    def create(self, name: str, *args, **kwargs):
-        """Instantiate the named stage via its factory."""
-        return self.get(name).factory(*args, **kwargs)
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._entries)
-
-    def entries(self) -> tuple[StageEntry, ...]:
-        return tuple(self._entries.values())
-
-
-PREDICTORS = StageRegistry("predictor")
-QUANTIZERS = StageRegistry("quantizer")
-ENCODERS = StageRegistry("encoder")
-
-
-@dataclass(frozen=True)
 class MethodEntry:
     """One registered compression member.
 
@@ -115,18 +45,12 @@ class MethodEntry:
     reference snapshot: the streaming writer ships the reference to
     worker processes only for these
     (:meth:`~repro.core.mdz.MDZAxisCompressor.export_session_state`).
-    ``stages`` names the member's composition for documentation and
-    introspection; every listed name resolves in the matching stage
-    registry (pinned by ``tests/test_registry.py``).
     """
 
     name: str
     method_id: int
     factory: Callable[[], MDZMethod]
     needs_reference: bool
-    predictors: tuple[str, ...]
-    quantizer: str
-    encoder: str
     description: str
 
 
@@ -139,9 +63,6 @@ def register_method(
     factory: Callable[[], MDZMethod],
     *,
     needs_reference: bool = False,
-    predictors: tuple[str, ...],
-    quantizer: str = "linear",
-    encoder: str = "huffman-int-stream",
     description: str,
 ) -> Callable[[], MDZMethod]:
     """Register an ADP-selectable member under its wire id.
@@ -162,22 +83,18 @@ def register_method(
         method_id=METHOD_IDS[name],
         factory=factory,
         needs_reference=needs_reference,
-        predictors=tuple(predictors),
-        quantizer=quantizer,
-        encoder=encoder,
         description=description,
     )
     return factory
 
 
 def ensure_members() -> None:
-    """Import every built-in member and stage module (idempotent).
+    """Import every built-in member module (idempotent).
 
     Registration happens at module import; this gives every consumer a
-    one-call way to guarantee the registries are fully populated without
+    one-call way to guarantee the registry is fully populated without
     eagerly importing the whole package at ``import repro``.
     """
-    from ..sz import stages  # noqa: F401  (registers the stage entries)
     from . import bitadaptive, interp, mt, vq, vqt  # noqa: F401
 
 
@@ -205,12 +122,6 @@ def get_method(name: str) -> MDZMethod:
         instance = method_entry(name).factory()
         _INSTANCES[name] = instance
     return instance
-
-
-def create_method(name: str) -> MDZMethod:
-    """A fresh instance of the named member (rarely needed; see
-    :func:`get_method`)."""
-    return method_entry(name).factory()
 
 
 def method_names() -> tuple[str, ...]:

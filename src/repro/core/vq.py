@@ -247,6 +247,7 @@ class VQMethod(MDZMethod):
     def serialize(self, prepared, state):
         return vq_serialize(prepared, state)
 
+    # Unused by ADP; kept because mdzbench/layertrace.py wraps it by name.
     def estimate(self, prepared, state):
         return vq_estimate_bytes(prepared, state)
 
@@ -258,8 +259,6 @@ class VQMethod(MDZMethod):
 register_method(
     "vq",
     VQMethod,
-    predictors=("level",),
-    encoder="huffman-int-stream",
     description=(
         "Vector-quantization: every point predicted by its nearest "
         "crystal-level centroid; buffers decode in isolation "

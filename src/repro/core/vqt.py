@@ -88,6 +88,7 @@ class VQTMethod(MDZMethod):
             )
         return writer.getvalue()
 
+    # Unused by ADP; kept because mdzbench/layertrace.py wraps it by name.
     def estimate(self, prepared: VQTPrepared, state: MethodState):
         total = 32 + vq_estimate_bytes(prepared.head, state)
         if prepared.tail is not None:
@@ -116,8 +117,6 @@ class VQTMethod(MDZMethod):
 register_method(
     "vqt",
     VQTMethod,
-    predictors=("level", "timewise"),
-    encoder="huffman-int-stream",
     description=(
         "VQ head + time-based tail: spatial levels pay for the buffer "
         "head, temporal smoothness for the rest (Section VI-A)"

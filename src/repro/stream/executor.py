@@ -232,9 +232,9 @@ class AxisJobSpec:
     shared-memory segment holding the pickled ``(reference, level_fit)``
     pair — published once per session by the writer — and the inline
     ``reference``/``level_fit`` fields stay ``None``.  Specs carrying
-    the state inline (no digest, no segment) remain fully supported;
-    that is the fallback when shared memory is unavailable and the
-    correctness baseline the cache is checked against.
+    the state inline (no segment) remain fully supported; that is the
+    fallback when shared memory is unavailable and the correctness
+    baseline the cache is checked against.
 
     ``trace`` and ``telemetry`` carry the observability context across
     the process boundary: ``trace`` is a span-context token from
@@ -255,10 +255,10 @@ class AxisJobSpec:
     level_seed: int
     reference: np.ndarray | None
     level_fit: LevelFit | None
+    state_digest: str
     entropy_streams: int | None = None
     trace: tuple | None = None
     telemetry: bool = False
-    state_digest: str | None = None
     state_shm: tuple | None = None  # (name, nbytes) of pickled state
 
 
@@ -316,8 +316,6 @@ def _build_session(spec: AxisJobSpec) -> MDZAxisCompressor:
 def _session_for(spec: AxisJobSpec) -> MDZAxisCompressor:
     """The cached session for ``spec``, rebuilding on digest miss."""
     digest = spec.state_digest
-    if digest is None:
-        return _build_session(spec)
     recorder = get_recorder()
     session = _SESSIONS.get(digest)
     if session is not None:

@@ -16,8 +16,8 @@ costs zero payload bits).
 The wire layout mirrors :func:`repro.sz.pipeline.encode_int_stream`
 (same JSON header fields plus the region geometry, same varint
 side channel for out-of-scope literals), so the two are drop-in
-alternatives behind the encoder-stage registry
-(:data:`repro.core.registry.ENCODERS`).
+alternatives: :data:`repro.sz.stages.BITPACK` wraps this module in the
+same call shape as :data:`repro.sz.stages.HUFFMAN_INT_STREAM`.
 
 Packing reuses the vectorized :func:`repro.sz.bitio.pack_codes` kernel
 with a uniform per-region length vector; unpacking is a fused gather

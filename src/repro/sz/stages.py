@@ -1,35 +1,20 @@
-"""Registry entries for the sz-layer pipeline stages.
+"""Entropy backends the compression members hold directly.
 
-Importing this module populates the three stage registries
-(:data:`repro.core.registry.PREDICTORS` / ``QUANTIZERS`` / ``ENCODERS``)
-with the building blocks the compression members compose.  The factories
-are the real runtime callables — members resolve stages through
-``PREDICTORS.get(name).factory`` rather than private imports, and
-``tools/list_stages.py`` renders the documentation tables from the same
-entries, so the docs cannot drift from what the code dispatches.
-
-Encoder stages bundle the three pipeline verbs (``encode`` /
-``estimate`` / ``decode``) into one namespace object so a member can
-swap its whole entropy backend with a single registry lookup — compare
-:data:`HUFFMAN_INT_STREAM` (global Huffman codebook, Seq-1/Seq-2 aware)
-with :data:`BITPACK` (per-region bit depths, arXiv 2404.02826 style).
+Each backend bundles the three pipeline verbs (``encode`` / ``estimate``
+/ ``decode``) into one namespace object, so a member swaps its whole
+entropy stage by setting one class attribute — compare
+:data:`HUFFMAN_INT_STREAM` (global Huffman codebook, Seq-1/Seq-2 aware),
+which :class:`~repro.core.mt.MTMethod` holds, with :data:`BITPACK`
+(per-region bit depths, arXiv 2404.02826 style), which
+:class:`~repro.core.bitadaptive.BitAdaptiveMethod` holds instead.
 """
 
 from __future__ import annotations
 
 from types import SimpleNamespace
 
-from ..core.levels import SessionLevelModel
-from ..core.registry import ENCODERS, PREDICTORS, QUANTIZERS
 from . import bitpack as _bitpack
-from . import interp as _interp
 from . import pipeline as _pipeline
-from .predictors import (
-    lorenzo_1d_encode,
-    reference_encode,
-    timewise_encode,
-)
-from .quantizer import LinearQuantizer
 
 #: Huffman entropy backend: the original MDZ serialization
 #: (:mod:`repro.sz.pipeline`) — one global codebook over the flattened
@@ -43,7 +28,9 @@ HUFFMAN_INT_STREAM = SimpleNamespace(
 #: Bit-adaptive backend: per-region offset + bit-width fixed packing
 #: (:mod:`repro.sz.bitpack`).  Same QuantizedBlock in/out contract as
 #: the Huffman backend; extra keyword arguments are accepted and
-#: ignored so the two are call-compatible behind the registry.
+#: ignored so the two are call-compatible.  ``encode`` looks
+#: ``bitpack_encode`` up at call time, so a wrapper installed on the
+#: module attribute sees every call.
 BITPACK = SimpleNamespace(
     encode=lambda block, layout="C", alphabet_hint=None, streams=None: (
         _bitpack.bitpack_encode(block, layout)
@@ -52,98 +39,4 @@ BITPACK = SimpleNamespace(
         _bitpack.bitpack_estimate(block, layout)
     ),
     decode=_bitpack.bitpack_decode,
-)
-
-
-QUANTIZERS.register(
-    "linear",
-    LinearQuantizer,
-    description=(
-        "Grid-anchored linear-scale quantizer: bin width 2*eb, marker "
-        "code for out-of-scope points, exact round(x-n)==round(x)-n "
-        "identity so chained predictors vectorize"
-    ),
-    ref="sz/quantizer.py",
-)
-
-PREDICTORS.register(
-    "level",
-    SessionLevelModel,
-    description=(
-        "MDZ level prediction: k-means-style centroids fitted per "
-        "session; each value predicted by its nearest level (adds a "
-        "relative level-index stream)"
-    ),
-    ref="core/levels.py",
-)
-PREDICTORS.register(
-    "timewise",
-    timewise_encode,
-    description=(
-        "Previous-snapshot chain prediction along time (fused "
-        "quantize+predict kernel; exact on the quantization grid)"
-    ),
-    ref="sz/predictors.py",
-)
-PREDICTORS.register(
-    "reference",
-    reference_encode,
-    description=(
-        "First-snapshot reference prediction: codes a snapshot against "
-        "the reconstruction of the session's snapshot 0"
-    ),
-    ref="sz/predictors.py",
-)
-PREDICTORS.register(
-    "lorenzo1d",
-    lorenzo_1d_encode,
-    description=(
-        "1-D Lorenzo (previous-neighbour) prediction along the particle "
-        "axis; used for cascade roots with no temporal context"
-    ),
-    ref="sz/predictors.py",
-)
-PREDICTORS.register(
-    "interp-linear",
-    lambda recon, idx, stride, is_anchor: _interp.interpolate(
-        recon, idx, stride, "linear", is_anchor
-    ),
-    description=(
-        "SZ3-style midpoint interpolation: predict t from the "
-        "reconstructed neighbours at t-s and t+s, 0.5*(l+r)"
-    ),
-    ref="sz/interp.py",
-)
-PREDICTORS.register(
-    "interp-cubic",
-    lambda recon, idx, stride, is_anchor: _interp.interpolate(
-        recon, idx, stride, "cubic", is_anchor
-    ),
-    description=(
-        "SZ3-style 4-point cubic spline interpolation "
-        "((-fl + 9l + 9r - fr)/16, Catmull-Rom-like); falls back to "
-        "linear at the cascade edges"
-    ),
-    ref="sz/interp.py",
-)
-
-ENCODERS.register(
-    "huffman-int-stream",
-    lambda: HUFFMAN_INT_STREAM,
-    description=(
-        "Global Huffman codebook over the flattened codes (Seq-1/Seq-2 "
-        "layout aware, optional H2 sub-stream fan-out) + varint "
-        "out-of-scope side channel"
-    ),
-    ref="sz/pipeline.py",
-)
-ENCODERS.register(
-    "bitpack",
-    lambda: BITPACK,
-    description=(
-        "Per-region bit-adaptive fixed-width packing: each 4096-value "
-        "region stores (min offset, bit width) and packs codes at "
-        "exactly that depth"
-    ),
-    ref="sz/bitpack.py",
 )

@@ -22,9 +22,6 @@ Per audited buffer the auditor records (metric definitions match
 
 * gauges ``quality.max_abs_error``, ``quality.psnr``, ``quality.ratio``,
   ``quality.bound_margin`` (max error / bound: 1.0 = at the bound);
-* distributions ``quality.bound_margin`` and ``quality.ratio`` via the
-  recorder's histogram machinery (power-of-two buckets — plenty for a
-  0..1 margin; ratios beyond ~67 land in the overflow bucket);
 * counters ``quality.audits`` / ``quality.audited_values``; the timer
   ``quality.audit`` bounds the overhead.
 
@@ -215,9 +212,6 @@ class QualityAuditor:
             recorder.gauge("quality.ratio", ratio)
             margin = max_err / bound if bound > 0 else math.inf
             recorder.gauge("quality.bound_margin", margin)
-            if math.isfinite(margin):
-                recorder.observe("quality.bound_margin", margin)
-            recorder.observe("quality.ratio", ratio)
         if not within:
             self.violations += 1
             detail = (

@@ -35,12 +35,12 @@ def test_metrics_reference_is_in_sync():
 
 
 def test_stages_reference_is_in_sync():
-    """The registry tables in docs/stages.md must match the registries."""
+    """The member table in docs/stages.md must match the registry."""
     path = REPO_ROOT / "docs" / "stages.md"
     assert path.exists(), "docs/stages.md missing"
     current = path.read_text()
     assert current == list_stages.render(current), (
-        "docs/stages.md registry tables are stale; "
+        "docs/stages.md member table is stale; "
         "run `python tools/list_stages.py`"
     )
 

@@ -1,11 +1,10 @@
-"""Tests for the vectorized encode engine (batched pack + cheap trials).
+"""Tests for the vectorized encode engine (batched pack + ADP trials).
 
 The encode hot path was rebuilt as batched numpy kernels: vectorized
-canonical-code assignment, packed per-codebook encode tables, a single
-cumulative-bit-offset ``pack_codes`` pass over all H2 streams, and ADP
-trials that size candidates from entropy estimates instead of three full
-encodes.  These tests pin the rebuilt path to scalar references and to the
-exhaustive selector it replaced.
+canonical-code assignment, packed per-codebook encode tables, and a single
+cumulative-bit-offset ``pack_codes`` pass over all H2 streams.  These
+tests pin the rebuilt path to scalar references, and pin every ADP trial
+size to the member's exact dictionary-coded length.
 """
 
 import numpy as np
@@ -16,6 +15,7 @@ from hypothesis import strategies as st
 from repro.core.adaptive import ADPSelector
 from repro.core.levels import SessionLevelModel
 from repro.core.methods import MethodState
+from repro.core.registry import get_method
 from repro.datasets import DATASET_SPECS, load_dataset
 from repro.sz.bitio import pack_codes
 from repro.sz.huffman import (
@@ -24,6 +24,7 @@ from repro.sz.huffman import (
     code_lengths,
     clear_codebook_caches,
 )
+from repro.sz.lossless import lossless_compress
 from repro.sz.quantizer import LinearQuantizer
 from repro.telemetry import recording
 
@@ -225,7 +226,7 @@ class TestEncodeTelemetry:
         assert counters.get("adp.trials", 0) == 1
 
 
-# -- ADP: cheap trials agree with the exhaustive selector ---------------
+# -- ADP: every trial encodes every member exactly ----------------------
 
 
 def _axis_streams():
@@ -236,43 +237,43 @@ def _axis_streams():
             yield name, axis, positions[:, :, axis].astype(np.float64)
 
 
-def _run_selector(stream, bs, **kwargs):
-    state = MethodState(
-        quantizer=LinearQuantizer(1e-3),
-        layout="F",
-        levels=SessionLevelModel(seed=0),
-    )
-    selector = ADPSelector(interval=3, **kwargs)
-    winners, blobs = [], []
-    for start in range(0, stream.shape[0], bs):
-        batch = stream[start : start + bs]
-        name, blob, recon = selector.encode(batch, state)
-        if state.reference is None:
-            state.reference = recon[0].copy()
-        winners.append(name)
-        blobs.append(blob)
-    return winners, blobs, selector
+def _exact_size(name, batch, state):
+    """``name``'s dictionary-coded payload size for ``batch``, encoded
+    alone on a trial copy of ``state``."""
+    method = get_method(name)
+    trial = state.clone_for_trial()
+    payload = method.serialize(method.prepare(batch, trial), trial)
+    return len(lossless_compress(payload, state.lossless_backend))
 
 
-class TestADPCheapTrialAgreement:
-    def test_winners_and_blobs_match_exhaustive(self):
-        skipped_total = 0
+class TestADPExhaustiveTrials:
+    def test_trial_sizes_are_exact_and_winner_is_smallest(self):
+        trials = 0
         for name, axis, stream in _axis_streams():
-            cheap = _run_selector(stream, bs=5)
-            exhaustive = _run_selector(stream, bs=5, margin=float("inf"))
             label = f"{name}/axis{axis}"
-            assert cheap[0] == exhaustive[0], label
-            assert cheap[1] == exhaustive[1], label
-            skipped_total += sum(
-                len(r.estimated) for r in cheap[2].history
+            state = MethodState(
+                quantizer=LinearQuantizer(1e-3),
+                layout="F",
+                levels=SessionLevelModel(seed=0),
             )
-        # The matrix must actually exercise the shortcut somewhere,
-        # otherwise this test proves nothing.
-        assert skipped_total > 0
-
-    def test_infinite_margin_never_estimates(self):
-        stream = load_dataset("pt", snapshots=30).positions[:, :, 0].astype(
-            np.float64
-        )
-        _, _, selector = _run_selector(stream, bs=5, margin=float("inf"))
-        assert all(r.estimated == () for r in selector.history)
+            selector = ADPSelector(interval=3)
+            for start in range(0, stream.shape[0], 5):
+                batch = stream[start : start + 5]
+                due = selector.trial_due()
+                if due:
+                    expected = {
+                        member: _exact_size(member, batch, state)
+                        for member in selector.members
+                    }
+                _, _, recon = selector.encode(batch, state)
+                if state.reference is None:
+                    state.reference = recon[0].copy()
+                if due:
+                    record = selector.history[-1]
+                    assert record.sizes == expected, label
+                    assert record.chosen == min(
+                        expected, key=lambda m: (expected[m], m)
+                    ), label
+                    trials += 1
+        # 12 streams x 4 trials (buffers 0, 1, 3 and 6).
+        assert trials == 48

@@ -144,6 +144,27 @@ class TestWriterIntegration:
         assert stats.to_dict()["audits"] == 9
         assert rec.snapshot()["counters"]["quality.audits"] == 9
 
+    def test_audit_values_are_gauges_not_timers(self, tmp_path):
+        """Ratios and bound margins are not durations: they must not land
+        in the seconds histograms.  The only ``quality.*`` timer is the
+        audit's own wall time."""
+        data = _trajectory(snapshots=16)
+        config = MDZConfig(
+            error_bound=1e-3, error_bound_mode="absolute",
+            buffer_size=8, audit_interval=1,
+        )
+        with recording() as rec:
+            with StreamingWriter(tmp_path / "a.mdz", config) as writer:
+                for snap in data:
+                    writer.feed(snap)
+                writer.close()
+        snap = rec.snapshot()
+        quality_timers = {
+            name for name in snap["timers"] if name.startswith("quality.")
+        }
+        assert quality_timers == {"quality.audit"}
+        assert {"quality.ratio", "quality.bound_margin"} <= set(snap["gauges"])
+
     def test_serial_and_parallel_audit_identically(self, tmp_path):
         """Same sampled buffers, same archive bytes, with and without
         workers — auditing never touches the encode path."""

@@ -365,18 +365,6 @@ class TestStateDigestCache:
         assert counters["stream.executor.state_cache.miss"] == 1
         assert counters["stream.executor.state_cache.hit"] == 1
 
-    def test_no_digest_skips_cache(self):
-        traj = _trajectory()
-        spec, batch, expected = _state_spec(traj)
-        spec = dataclasses.replace(spec, state_digest=None)
-        executor_mod._SESSIONS.clear()
-        with recording(MetricsRecorder()) as rec:
-            [blob] = encode_flush(FlushJobSpec(jobs=(spec,)), batch[None])
-        assert blob == expected
-        counters = rec.snapshot()["counters"]
-        assert "stream.executor.state_cache.miss" not in counters
-        assert len(executor_mod._SESSIONS) == 0
-
     def test_cache_is_bounded(self):
         traj = _trajectory()
         spec, batch, expected = _state_spec(traj)

@@ -1,13 +1,13 @@
 #!/usr/bin/env python
-"""Generate the registry tables in ``docs/stages.md`` from the code.
+"""Generate the member table in ``docs/stages.md`` from the code.
 
-Imports the stage/method registries (:mod:`repro.core.registry`) and
-rewrites the marker-delimited block in ``docs/stages.md`` — the method
-table and the predictor/quantizer/encoder stage tables — from the same
-entries the compressor resolves at runtime, so the documentation cannot
-drift from what the code dispatches.  The prose around the block is
-hand-written and untouched (unlike ``tools/list_metrics.py``, which owns
-its whole file).
+Imports the method registry (:mod:`repro.core.registry`) and rewrites
+the marker-delimited block in ``docs/stages.md`` — one row per member:
+name, wire id, whether it needs the session reference, description —
+from the same entries the compressor resolves at runtime, so the
+documentation cannot drift from what the code dispatches.  The prose
+around the block is hand-written and untouched (unlike
+``tools/list_metrics.py``, which owns its whole file).
 
 The generated block is committed; ``tests/test_docs.py`` regenerates it
 in-memory and fails when the two drift, so registering a member without
@@ -35,42 +35,21 @@ DOC_PATH = Path("docs") / "stages.md"
 
 
 def generate_block() -> str:
-    """The registry tables, rendered from the live registries."""
-    registry.ensure_members()
+    """The member table, rendered from the live registry."""
     lines = [
         BEGIN,
         "<!-- auto-generated — do not edit between these markers; "
         "run `python tools/list_stages.py` after registering -->",
         "",
-        "### Methods",
-        "",
-        "| name | id | predictors | quantizer | encoder | needs ref | "
-        "description |",
-        "|---|---|---|---|---|---|---|",
+        "| name | id | needs ref | description |",
+        "|---|---|---|---|",
     ]
     for entry in registry.method_entries():
-        predictors = ", ".join(f"`{p}`" for p in entry.predictors)
         lines.append(
-            f"| `{entry.name}` | {entry.method_id} | {predictors} | "
-            f"`{entry.quantizer}` | `{entry.encoder}` | "
+            f"| `{entry.name}` | {entry.method_id} | "
             f"{'yes' if entry.needs_reference else 'no'} | "
             f"{entry.description} |"
         )
-    for stage_registry in (
-        registry.PREDICTORS,
-        registry.QUANTIZERS,
-        registry.ENCODERS,
-    ):
-        lines.append("")
-        lines.append(f"### {stage_registry.kind.capitalize()} stages")
-        lines.append("")
-        lines.append("| name | defined in | description |")
-        lines.append("|---|---|---|")
-        for entry in stage_registry.entries():
-            lines.append(
-                f"| `{entry.name}` | `src/repro/{entry.ref}` | "
-                f"{entry.description} |"
-            )
     lines.append("")
     lines.append(END)
     return "\n".join(lines)
