@@ -6,7 +6,8 @@ obtained by optimal 1-D k-means over a sample of the first snapshot
 (Section VI-A).  This subpackage implements:
 
 * :mod:`repro.cluster.kmeans1d` — exact dynamic-programming k-means for
-  sorted 1-D data with divide-and-conquer row computation;
+  sorted 1-D data; each DP row is a divide and conquer solved one
+  recursion depth at a time, in one vectorized pass per depth;
 * :mod:`repro.cluster.level_detect` — the sampling, elbow-stopping
   ``G(k) = F(N,k)/F(N,k-1)`` rule with K capped at 150, and the
   equal-distance level fit.

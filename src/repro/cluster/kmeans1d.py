@@ -9,9 +9,11 @@ polynomial DP::
 with ``Cost(l, r)`` the within-cluster sum of squared deviations, computable
 in O(1) from prefix sums.  The paper adopts the O(KN) algorithm of Gronlund
 et al. [55]; we implement the divide-and-conquer variant that exploits the
-monotonicity of ``H(n, k)`` in ``n``, giving O(K N log N) with vectorized
-inner minimizations — ample for the sampled inputs (a few thousand points)
-the level detector feeds it.
+monotonicity of ``H(n, k)`` in ``n``, giving O(K N log N).  The recursion
+runs level-synchronously: all subproblems at one depth are solved in a
+single vectorized pass, so a DP layer costs ``ceil(log2(N+1))`` NumPy
+passes rather than one Python iteration per prefix length — ample for the
+sampled inputs (at most 1536 points) the level detector feeds it.
 
 Indexing conventions: data is sorted ascending; ``F``/``H`` use 1-based
 prefix lengths as in the paper, while cluster boundaries are reported as
@@ -20,7 +22,7 @@ prefix lengths as in the paper, while cluster boundaries are reported as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -60,11 +62,12 @@ class _PrefixCost:
         self.prefix = np.concatenate(([0.0], np.cumsum(d)))
         self.prefix_sq = np.concatenate(([0.0], np.cumsum(d * d)))
 
-    def cost(self, left: np.ndarray, right: int) -> np.ndarray:
-        """SSE of ``data[left : right+1]`` as one cluster (vectorized in left).
+    def cost(self, left: np.ndarray, right: int | np.ndarray) -> np.ndarray:
+        """SSE of ``data[left : right+1]`` as one cluster.
 
-        Empty ranges (``left > right``) cost 0 — they arise transiently in
-        the DP when a candidate split empties a cluster.
+        Vectorized in ``left`` and, elementwise or by broadcasting, in
+        ``right``.  Empty ranges (``left > right``) cost 0 — they arise
+        transiently in the DP when a candidate split empties a cluster.
         """
         left = np.asarray(left)
         cnt = np.maximum(right - left + 1, 1)
@@ -80,39 +83,43 @@ class _PrefixCost:
         return (self.prefix[right + 1] - self.prefix[left]) / count
 
 
-def _single_cluster_costs(pc: _PrefixCost) -> np.ndarray:
-    """``F(n, 1)`` for every prefix length ``n = 1..N``."""
-    ends = np.arange(pc.n)
-    cnt = ends + 1
-    s = pc.prefix[ends + 1]
-    sq = pc.prefix_sq[ends + 1]
-    return np.maximum(sq - s * s / cnt, 0.0)
-
-
 def _dp_row(pc: _PrefixCost, f_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One DP layer: ``F(., k)`` and ``H(., k)`` from ``F(., k-1)``.
 
-    Divide and conquer over the output prefix length; the optimal split
-    ``H(n, k)`` is monotone in ``n``, so each subproblem only scans a
-    shrinking candidate window (evaluated vectorized).
+    Divide and conquer over the output prefix length: the optimal split
+    ``H(n, k)`` is monotone in ``n``, so subproblem ``(lo, hi, opt_lo,
+    opt_hi)`` solves its midpoint over the candidate window
+    ``opt_lo..min(mid, opt_hi)`` and hands its halves the narrowed windows
+    ``opt_lo..best`` and ``best..opt_hi``.  The subproblems of one
+    recursion depth are held as four int arrays and solved together: their
+    windows are concatenated into one flat candidate array, evaluated in
+    one pass and minimized per window with ``np.minimum.reduceat``.  Ties
+    go to the smallest candidate, as ``np.argmin`` breaks them.
     """
     n = pc.n
     f_cur = np.full(n + 1, np.inf)
     h_cur = np.zeros(n + 1, dtype=np.int64)
-    stack = [(1, n, 1, n)]
-    while stack:
-        lo, hi, opt_lo, opt_hi = stack.pop()
-        if lo > hi:
-            continue
+    lo = opt_lo = np.ones(1, dtype=np.int64)
+    hi = opt_hi = np.full(1, n, dtype=np.int64)
+    while lo.size:
         mid = (lo + hi) // 2
-        cand = np.arange(opt_lo, min(mid, opt_hi) + 1)
-        totals = f_prev[cand - 1] + pc.cost(cand - 1, mid - 1)
-        pick = int(np.argmin(totals))
-        f_cur[mid] = float(totals[pick])
-        best = int(cand[pick])
+        widths = np.minimum(mid, opt_hi) - opt_lo + 1
+        starts = np.cumsum(widths) - widths
+        cand = np.arange(widths.sum()) + np.repeat(opt_lo - starts, widths)
+        totals = f_prev[cand - 1] + pc.cost(cand - 1, np.repeat(mid - 1, widths))
+        lows = np.repeat(np.minimum.reduceat(totals, starts), widths)
+        # First minimum of each window; a NaN counts as one, as in np.argmin.
+        hits = np.flatnonzero((totals == lows) | np.isnan(totals))
+        pick = hits[np.searchsorted(hits, starts)]
+        best = cand[pick]
+        f_cur[mid] = totals[pick]
         h_cur[mid] = best
-        stack.append((lo, mid - 1, opt_lo, best))
-        stack.append((mid + 1, hi, best, opt_hi))
+        # Children: (lo, mid-1, opt_lo, best) and (mid+1, hi, best, opt_hi).
+        lo, hi = np.concatenate((lo, mid + 1)), np.concatenate((mid - 1, hi))
+        opt_lo = np.concatenate((opt_lo, best))
+        opt_hi = np.concatenate((best, opt_hi))
+        keep = lo <= hi
+        lo, hi, opt_lo, opt_hi = lo[keep], hi[keep], opt_lo[keep], opt_hi[keep]
     return f_cur, h_cur
 
 
@@ -155,24 +162,14 @@ def kmeans_1d(data: np.ndarray, k: int) -> KMeans1DResult:
     ``data`` need not be sorted; it is sorted internally.  Raises
     ``ValueError`` when ``k`` exceeds the number of points.
     """
-    d = np.sort(np.asarray(data, dtype=np.float64).ravel())
-    n = d.size
+    n = np.asarray(data).size
     if n == 0:
         raise ValueError("cannot cluster an empty array")
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    pc = _PrefixCost(d)
-    f = np.empty(n + 1)
-    f[0] = 0.0
-    f[1:] = _single_cluster_costs(pc)
-    h_rows: list[np.ndarray] = []
-    for _ in range(1, k):
-        f, h = _dp_row(pc, f)
-        h_rows.append(h)
-    starts = _recover_boundaries(h_rows, n, k)
-    result = _result_from_boundaries(pc, starts)
-    return KMeans1DResult(
-        cost=float(f[n]), boundaries=result.boundaries, centroids=result.centroids
+    costs, h_rows, sorted_data = kmeans_1d_cost_profile(data, k)
+    return replace(
+        clustering_for_k(sorted_data, h_rows, k), cost=float(costs[k - 1])
     )
 
 
@@ -199,7 +196,7 @@ def kmeans_1d_cost_profile(
     pc = _PrefixCost(d)
     f = np.empty(n + 1)
     f[0] = 0.0
-    f[1:] = _single_cluster_costs(pc)
+    f[1:] = pc.cost(np.zeros(n, dtype=np.int64), np.arange(n))
     costs = [float(f[n])]
     h_rows: list[np.ndarray] = []
     for _ in range(2, k_max + 1):
@@ -215,12 +212,7 @@ def clustering_for_k(
     sorted_data: np.ndarray, h_rows: list[np.ndarray], k: int
 ) -> KMeans1DResult:
     """Materialize the optimal ``k``-clustering from stored ``H`` rows."""
-    n = sorted_data.size
-    if k == 1:
-        pc = _PrefixCost(sorted_data)
-        return _result_from_boundaries(pc, np.zeros(1, dtype=np.int64))
     if k - 1 > len(h_rows):
         raise ValueError(f"only {len(h_rows) + 1} layers computed, need {k}")
-    pc = _PrefixCost(sorted_data)
-    starts = _recover_boundaries(h_rows, n, k)
-    return _result_from_boundaries(pc, starts)
+    starts = _recover_boundaries(h_rows, sorted_data.size, k)
+    return _result_from_boundaries(_PrefixCost(sorted_data), starts)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..cluster.level_detect import LevelFit, detect_levels
+from ..telemetry import get_recorder
 
 
 class SessionLevelModel:
@@ -49,7 +50,8 @@ class SessionLevelModel:
         as the paper does.
         """
         if self._fit is None:
-            self._fit = detect_levels(snapshot, seed=self._seed)
+            with get_recorder().timer("levels.fit"):
+                self._fit = detect_levels(snapshot, seed=self._seed)
         return self._fit
 
     def reset(self) -> None:

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import io
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from ..core.config import MDZConfig
 from ..core.mdz import MDZAxisCompressor
 from ..exceptions import (
     CompressionError,
+    ConfigurationError,
     ContainerFormatError,
     DecompressionError,
 )
@@ -109,33 +110,50 @@ def write_container(positions: np.ndarray, config: MDZConfig) -> bytes:
     return sink.getvalue()
 
 
+#: Header key, the :class:`MDZConfig` field it restores, and its type.
+_HEADER_CONFIG = (
+    ("buffer_size", "buffer_size", int),
+    ("scale", "quantization_scale", int),
+    ("sequence", "sequence_mode", str),
+    ("method", "method", str),
+    ("members", "adp_members", tuple),  # recorded for a non-default pool
+    ("lossless", "lossless_backend", str),
+)
+
+
 def decode_sessions(header: dict) -> list[MDZAxisCompressor]:
     """One decode session per axis, rebuilt from a container header.
 
     Both generations record the keys read here: ``atoms``,
     ``buffer_size``, ``error_bounds``, ``scale``, ``sequence``,
     ``method``, ``lossless`` and (for a non-default ADP pool)
-    ``members``.
+    ``members``.  Headers are untrusted input: a field that is missing,
+    of the wrong type or invalid raises :class:`ContainerFormatError`
+    naming it.
     """
-    extra = {}
-    if "members" in header:
-        extra["adp_members"] = tuple(header["members"])
-    config = MDZConfig(
-        error_bound=1.0,  # absolute per-axis bounds travel in begin()
-        error_bound_mode="absolute",
-        buffer_size=int(header["buffer_size"]),
-        quantization_scale=int(header["scale"]),
-        sequence_mode=str(header["sequence"]),
-        method=str(header["method"]),
-        lossless_backend=str(header["lossless"]),
-        **extra,
-    )
-    meta = SessionMeta(n_atoms=int(header["atoms"]))
-    sessions = []
-    for bound in header["error_bounds"]:
-        session = MDZAxisCompressor(config)
-        session.begin(float(bound), meta)
-        sessions.append(session)
+    # Absolute per-axis bounds travel in begin().
+    config = MDZConfig(error_bound=1.0, error_bound_mode="absolute")
+    try:
+        for key, name, cast in _HEADER_CONFIG:
+            if key != "members" or key in header:
+                # replace() re-validates, so a bad value names its key.
+                config = replace(config, **{name: cast(header[key])})
+        key = "atoms"
+        meta = SessionMeta(n_atoms=int(header[key]))
+        key = "error_bounds"
+        sessions = []
+        for bound in header[key]:
+            session = MDZAxisCompressor(config)
+            session.begin(float(bound), meta)
+            sessions.append(session)
+    except (
+        KeyError, TypeError, ValueError, ConfigurationError, CompressionError
+    ) as exc:
+        # CompressionError: begin() rejects a zero or non-finite bound.
+        raise ContainerFormatError(
+            f"container header field {key!r} is missing or invalid: "
+            f"{type(exc).__name__}: {exc}"
+        ) from exc
     return sessions
 
 

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import json
+import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from repro.core.config import MDZConfig
+from repro.core.mdz import MDZ
 
 #: Legacy MDZ1 archives, written before MDZ1 became read-only
 #: (``tools/legacy_digests.py`` pins their digests).
@@ -64,3 +70,44 @@ def trajectory(rng) -> np.ndarray:
 def absolute_bound(stream: np.ndarray, epsilon: float = 1e-3) -> float:
     """Value-range-relative bound -> absolute, as the harness does."""
     return float(epsilon) * float(stream.max() - stream.min())
+
+
+#: Forged header edits, keyed by case: the header field each one breaks
+#: and the in-place edit (missing, mistyped or invalid values).
+FORGED_HEADERS = {
+    "scale-missing": ("scale", lambda h: h.pop("scale")),
+    "scale-string": ("scale", lambda h: h.update(scale="x")),
+    "scale-null": ("scale", lambda h: h.update(scale=None)),
+    "lossless-missing": ("lossless", lambda h: h.pop("lossless")),
+    "method-unknown": ("method", lambda h: h.update(method="zz")),
+    "sequence-unknown": ("sequence", lambda h: h.update(sequence="zz")),
+    "bounds-zero": ("error_bounds", lambda h: h.update(error_bounds=[0] * 3)),
+}
+
+
+def _rewrite_mdz2_header(blob: bytes, edit) -> bytes:
+    """``blob`` with its MDZ2 header JSON edited in place.
+
+    The new JSON is space-padded to the old length and its CRC
+    recomputed, so every chunk offset in the footer stays valid and only
+    the header's content is hostile.
+    """
+    (length,) = struct.unpack_from("<I", blob, 8)  # after b"MDZ2" b"HDR2"
+    header = json.loads(blob[12 : 12 + length])
+    edit(header)
+    body = json.dumps(header, separators=(",", ":")).encode().ljust(length)
+    assert len(body) == length, "a forged header must not grow"
+    crc = struct.pack("<I", zlib.crc32(body))
+    return blob[:12] + body + crc + blob[16 + length :]
+
+
+@pytest.fixture
+def forged_headers(trajectory) -> dict[str, tuple[str, bytes]]:
+    """``{case: (field, archive)}`` for every :data:`FORGED_HEADERS` case,
+    each an ``MDZ.compress`` archive of ``trajectory`` with one forged
+    header field."""
+    blob = MDZ(MDZConfig(buffer_size=4)).compress(trajectory)
+    return {
+        case: (field, _rewrite_mdz2_header(blob, edit))
+        for case, (field, edit) in FORGED_HEADERS.items()
+    }

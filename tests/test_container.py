@@ -14,6 +14,7 @@ from repro.io.container import (
     verify_container,
     write_container,
 )
+from repro.serde import BlobReader, BlobWriter
 from repro.stream import StreamingReader, parse_stream
 
 
@@ -94,6 +95,40 @@ class TestContainerErrors:
     def test_wrong_rank_rejected(self):
         with pytest.raises(CompressionError):
             write_container(np.zeros((4, 5)), MDZConfig())
+
+
+class TestForgedHeaders:
+    """A header field that is missing, mistyped or invalid raises
+    ``ContainerFormatError`` naming it, through every reader."""
+
+    def test_one_shot_decompress(self, forged_headers):
+        for field, blob in forged_headers.values():
+            with pytest.raises(ContainerFormatError, match=f"'{field}'"):
+                MDZ().decompress(blob)
+
+    def test_streaming_reader(self, forged_headers):
+        for field, blob in forged_headers.values():
+            reader = StreamingReader(blob)
+            with pytest.raises(ContainerFormatError, match=f"'{field}'"):
+                reader.read_all()
+            with pytest.raises(ContainerFormatError, match=f"'{field}'"):
+                reader.read_buffer(1)
+
+    def test_mdz1_missing_scale(self, mdz1_archive):
+        reader = BlobReader(mdz1_archive)
+        magic, header = reader.read_bytes(), reader.read_json()
+        index, payload = reader.read_json(), reader.read_bytes()
+        del header["scale"]
+        writer = BlobWriter()
+        writer.write_bytes(magic)
+        writer.write_json(header)
+        writer.write_json(index)
+        writer.write_bytes(payload)
+        forged = writer.getvalue()
+        with pytest.raises(ContainerFormatError, match="'scale'"):
+            MDZ().decompress(forged)
+        with pytest.raises(ContainerFormatError, match="'scale'"):
+            read_container_batch(forged, 0)
 
 
 class TestMDZFrontEnd:

@@ -7,11 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import kmeans1d
 from repro.cluster.kmeans1d import (
+    _dp_row,
+    _PrefixCost,
     clustering_for_k,
     kmeans_1d,
     kmeans_1d_cost_profile,
 )
+from repro.cluster.level_detect import MAX_SAMPLE_POINTS, _stop_rule
 
 
 def brute_force_cost(data: np.ndarray, k: int) -> float:
@@ -127,3 +131,104 @@ class TestCostProfile:
         costs, h_rows, sorted_data = kmeans_1d_cost_profile(data, 2)
         with pytest.raises(ValueError):
             clustering_for_k(sorted_data, h_rows, 5)
+
+
+def _stack_dp_row(pc: _PrefixCost, f_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The per-subproblem stack loop ``_dp_row`` replaced, kept verbatim
+    as the oracle the level-synchronous rows must equal bit for bit."""
+    n = pc.n
+    f_cur = np.full(n + 1, np.inf)
+    h_cur = np.zeros(n + 1, dtype=np.int64)
+    stack = [(1, n, 1, n)]
+    while stack:
+        lo, hi, opt_lo, opt_hi = stack.pop()
+        if lo > hi:
+            continue
+        mid = (lo + hi) // 2
+        cand = np.arange(opt_lo, min(mid, opt_hi) + 1)
+        totals = f_prev[cand - 1] + pc.cost(cand - 1, mid - 1)
+        pick = int(np.argmin(totals))
+        f_cur[mid] = float(totals[pick])
+        best = int(cand[pick])
+        h_cur[mid] = best
+        stack.append((lo, mid - 1, opt_lo, best))
+        stack.append((mid + 1, hi, best, opt_hi))
+    return f_cur, h_cur
+
+
+def _checked_dp_row(pc, f_prev):
+    """``_dp_row``, asserting both rows equal the oracle's."""
+    f_cur, h_cur = _dp_row(pc, f_prev)
+    f_want, h_want = _stack_dp_row(pc, f_prev)
+    assert np.array_equal(f_cur, f_want, equal_nan=True)
+    assert np.array_equal(h_cur, h_want)
+    return f_cur, h_cur
+
+
+#: Tie-heavy inputs: small integers, constant runs, and rounded floats.
+_TIE_HEAVY = st.one_of(
+    st.lists(st.integers(-3, 3), min_size=1, max_size=400),
+    st.lists(
+        st.tuples(st.integers(-50, 50), st.integers(1, 80)),
+        min_size=1,
+        max_size=30,
+    ).map(lambda runs: [v for v, r in runs for _ in range(r)][:400]),
+    st.lists(
+        st.floats(-20, 20, allow_nan=False).map(lambda x: round(x, 1)),
+        min_size=1,
+        max_size=400,
+    ),
+)
+
+
+def _first_layer(data):
+    """The prefix-cost table of sorted ``data`` and its ``F(., 1)`` row."""
+    pc = _PrefixCost(np.sort(np.asarray(data, dtype=np.float64)))
+    ends = np.arange(pc.n)
+    return pc, np.concatenate(([0.0], pc.cost(np.zeros_like(ends), ends)))
+
+
+class TestLevelSynchronousRows:
+    """Every ``F``/``H`` row equals the stack loop's, layer after layer."""
+
+    @given(values=_TIE_HEAVY, k_max=st.integers(2, 10))
+    @settings(max_examples=60, deadline=None)
+    def test_tie_heavy_rows_match_stack_loop(self, values, k_max):
+        pc, f = _first_layer(values)
+        for _ in range(2, min(k_max, pc.n) + 1):
+            f, _ = _checked_dp_row(pc, f)
+
+    def test_layers_with_infinite_f0_match(self, rng):
+        pc, f = _first_layer(np.repeat(rng.integers(0, 9, 40), 3))
+        for k in range(2, 9):
+            if k >= 3:
+                assert np.isinf(f[0])
+            f, _ = _checked_dp_row(pc, f)
+            # F(n, k) is infinite exactly for the prefixes too short to
+            # fill k - 1 clusters before the last one.
+            assert np.isinf(f[: k - 1]).all() and np.isfinite(f[k - 1 :]).all()
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [1e200, -1e200, 0.0, 1.0, 2.0, 3.0, 3.0, 5.0],  # d * d overflows
+            [np.inf, 0.0, 1.0, 2.0, 2.0, 7.0],
+        ],
+    )
+    def test_nan_costs_pick_the_first_nan(self, values):
+        """Non-finite prefix sums make NaN costs; ``np.argmin`` takes a
+        window's first NaN, and so must the level-synchronous pass."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            pc, f = _first_layer(values)
+            for _ in range(2, 5):
+                f, _ = _checked_dp_row(pc, f)
+        assert np.isnan(f).any()
+
+    def test_level_detect_profile_matches(self, rng, monkeypatch):
+        levels = rng.integers(0, 12, MAX_SAMPLE_POINTS) * 1.8
+        sample = levels + rng.normal(0.0, 0.04, MAX_SAMPLE_POINTS)
+        monkeypatch.setattr(kmeans1d, "_dp_row", _checked_dp_row)
+        _, h_rows, _ = kmeans_1d_cost_profile(sample, 150, stop=_stop_rule)
+        # Twelve levels: the stop rule only halts past that elbow, so
+        # every layer up to it went through the oracle check.
+        assert len(h_rows) >= 12

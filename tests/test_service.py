@@ -581,6 +581,25 @@ class TestStructuredErrors:
         assert resp.status == 400
         assert resp.json()["error"]["code"] == "container_malformed"
 
+    def test_forged_headers_are_container_malformed(self, forged_headers):
+        """A hostile header is the archive's fault, never a 500 and never
+        the request's ``invalid_config``."""
+
+        async def main():
+            async with running_service() as svc:
+                async with ServiceClient("127.0.0.1", svc.port) as client:
+                    return {
+                        case: await client.request(
+                            "POST", "/v1/decompress", {}, blob
+                        )
+                        for case, (_, blob) in forged_headers.items()
+                    }
+
+        for case, resp in run(main()).items():
+            error = resp.json()["error"]
+            assert resp.status == 400, (case, error)
+            assert error["code"] == "container_malformed", (case, error)
+
     def test_unknown_routes_and_methods(self):
         async def main():
             async with running_service() as svc:

@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.config import MDZConfig
 from repro.core.mdz import MDZ
-from repro.stream import StreamingReader, stream_compress
+from repro.stream import StreamingReader, StreamingWriter, stream_compress
 from repro.telemetry import (
     NULL_RECORDER,
     MetricsRecorder,
@@ -320,6 +320,20 @@ class TestStreamInstrumentation:
             <= snap["timers"]["mdz.compress_batch"]["seconds"]
             <= snap["timers"]["stream.flush"]["seconds"]
         )
+
+    def test_level_fit_timed_once_per_axis(self, trajectory):
+        """The VQ level fit runs, and is timed, on the first buffer only."""
+        with recording() as rec:
+            writer = StreamingWriter(io.BytesIO(), MDZConfig(buffer_size=4))
+            for snapshot in trajectory[:4]:
+                writer.feed(snapshot)
+            first = rec.snapshot()["timers"]["levels.fit"]["count"]
+            for snapshot in trajectory[4:]:
+                writer.feed(snapshot)
+            stats = writer.close()
+        assert stats.buffers == 3
+        assert first == trajectory.shape[2] == 3
+        assert rec.snapshot()["timers"]["levels.fit"]["count"] == 3
 
 
 class TestCLITelemetry:
