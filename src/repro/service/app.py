@@ -366,10 +366,13 @@ class CompressionService:
 
         The server recorder renders unlabeled; each live session
         contributes its counters and gauges labeled
-        ``{session="<token>"}``.  Session timers are left out of the
-        per-tenant parts — the server-wide histograms already aggregate
-        them and per-tenant bucket series would multiply cardinality by
-        the session count.
+        ``{session="<token>"}``.  Session timers are left out, because
+        per-tenant bucket series would multiply cardinality by the
+        session count.  Nothing else exports them: session recorders
+        never merge into the server recorder (a retiring session folds
+        in only its ``quality.*`` counters), so the server's histograms
+        are its own ``service.request.*`` timers and the compress-path
+        stage timers do not reach ``/metrics``.
         """
         parts: list[tuple[dict, dict | None]] = [
             (self.recorder.snapshot(), None)

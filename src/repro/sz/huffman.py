@@ -19,12 +19,12 @@ dictionary coder.  The implementation here is self-contained:
   Python-loop steps.  Legacy single-stream blobs keep decoding bit-exactly
   through the original scalar table walker.
 
-Because MDZ re-encodes near-identical symbol alphabets every buffer (one
-session per axis, one histogram per snapshot batch), both the encoder
-codebook (lengths + canonical codes) and the decoder lookup structures are
-memoized in small LRU caches keyed by a histogram digest — see
+The encoder codebook (lengths + canonical codes, keyed by a digest of the
+symbol histogram) and the decoder lookup structures (keyed by a digest of
+the codebook) are memoized in small LRU caches — see
 :func:`clear_codebook_caches` and the ``sz.huffman.cache.hit/miss``
-telemetry counters.
+telemetry counters.  Reading an archive repeats codebooks; writing one
+rarely repeats a histogram, because each buffer's histogram differs.
 
 The public entry point is :class:`HuffmanCodec` with ``encode`` / ``decode``
 class methods that produce and consume self-contained byte blobs (codebook
@@ -173,15 +173,11 @@ def canonical_codes(lengths: np.ndarray) -> np.ndarray:
 
 
 class _LRUCache:
-    """Tiny thread-safe LRU keyed by bytes digests, with telemetry.
+    """Tiny thread-safe LRU keyed by bytes digests, counting
+    ``sz.huffman.cache.hit/miss``."""
 
-    ``metric`` names the counter pair (``<metric>.hit`` / ``<metric>.miss``)
-    this cache reports under.
-    """
-
-    def __init__(self, capacity: int, metric: str = "sz.huffman.cache") -> None:
+    def __init__(self, capacity: int) -> None:
         self.capacity = capacity
-        self.metric = metric
         self._lock = threading.Lock()
         self._data: OrderedDict[bytes, object] = OrderedDict()
 
@@ -191,11 +187,10 @@ class _LRUCache:
             if value is not None:
                 self._data.move_to_end(key)
         recorder = get_recorder()
-        if recorder.enabled:
-            recorder.count(
-                f"{self.metric}.hit" if value is not None
-                else f"{self.metric}.miss"
-            )
+        if value is None:
+            recorder.count("sz.huffman.cache.miss")
+        else:
+            recorder.count("sz.huffman.cache.hit")
         return value
 
     def put(self, key: bytes, value) -> None:
@@ -216,14 +211,12 @@ class _LRUCache:
 
 _ENCODE_CACHE = _LRUCache(64)
 _DECODE_CACHE = _LRUCache(64)
-_TABLE_CACHE = _LRUCache(64, metric="sz.huffman.encode_table")
 
 
 def clear_codebook_caches() -> None:
     """Drop the memoized encoder codebooks and decoder lookup tables."""
     _ENCODE_CACHE.clear()
     _DECODE_CACHE.clear()
-    _TABLE_CACHE.clear()
 
 
 def _digest(tag: bytes, *parts: np.ndarray) -> bytes:
@@ -268,12 +261,9 @@ _DENSE_TABLE_SPAN_FLOOR = 1 << 16
 
 
 def _packed_encode_table(
-    symbols: np.ndarray,
-    counts: np.ndarray,
-    lengths: np.ndarray,
-    codes: np.ndarray,
+    symbols: np.ndarray, lengths: np.ndarray, codes: np.ndarray
 ) -> tuple[int | None, np.ndarray]:
-    """Fused (code << 6 | length) lookup table for one codebook, memoized.
+    """Fused (code << 6 | length) lookup table for one codebook.
 
     Returns ``(base, table)``.  When ``base`` is an int the table is
     *dense*: entry ``v - base`` holds the packed code/length for symbol
@@ -284,13 +274,7 @@ def _packed_encode_table(
     inverse mapping instead.
 
     Six low bits hold the code length (max 57 < 64); the code sits above.
-    Keyed by the same BLAKE2b histogram digest as the codebook cache but
-    tracked separately (``sz.huffman.encode_table.hit/miss``).
     """
-    key = _digest(b"tab", symbols, counts)
-    cached = _TABLE_CACHE.get(key)
-    if cached is not None:
-        return cached
     fused = (codes << np.uint64(6)) | lengths.astype(np.uint64)
     lo = int(symbols[0])
     span = int(symbols[-1]) - lo + 1
@@ -299,11 +283,8 @@ def _packed_encode_table(
     ):
         table = np.zeros(span, dtype=np.uint64)
         table[symbols - lo] = fused
-        value = (lo, _freeze(table))
-    else:
-        value = (None, _freeze(fused))
-    _TABLE_CACHE.put(key, value)
-    return value
+        return lo, table
+    return None, fused
 
 
 class _DecodeTable:
@@ -570,9 +551,7 @@ class HuffmanCodec:
                 symbols, counts, inverse, lo, hi = _histogram(flat)
             with recorder.timer("sz.huffman.encode.table"):
                 lengths, codes = _cached_codebook(symbols, counts)
-                base, table = _packed_encode_table(
-                    symbols, counts, lengths, codes
-                )
+                base, table = _packed_encode_table(symbols, lengths, codes)
             with recorder.timer("sz.huffman.encode.pack"):
                 if base is not None:
                     entries = table[flat - base]

@@ -13,9 +13,14 @@ cost when disabled:
   occurrences), ``snapshot`` (a JSON-serializable dict of everything);
 * :class:`NullRecorder` — the default no-op implementation; the hot path
   pays one attribute lookup and an empty call, nothing else;
-* :class:`MetricsRecorder` — the collecting implementation (timers carry
-  min/max and fixed-bucket histograms, so snapshots report
-  p50/p95/p99 per stage and merge by addition);
+* :class:`MetricsRecorder` — the collecting implementation; each stage
+  timer is a :class:`Histogram` (count, sum, min/max and fixed-bucket
+  counts), so snapshots report p50/p95/p99 per stage and merge by
+  addition;
+* :class:`Histogram` — the one histogram type and quantile estimator
+  behind every timer view: lifetime timers, :class:`RollingWindows`,
+  the Prometheus exposition (:mod:`repro.telemetry.prom`) and ``mdz
+  top`` report the same quantile for the same buckets;
 * :class:`TracingRecorder` — a ``MetricsRecorder`` that additionally
   collects hierarchical spans (``span``/``annotate``/``export_token``,
   see :mod:`repro.telemetry.tracing`) and one provenance record per
@@ -75,11 +80,13 @@ from .recorder import (
     recording,
     set_recorder,
 )
-from .timeseries import TIMER_BUCKETS, RollingWindows
+from .histogram import TIMER_BUCKETS, Histogram
+from .timeseries import RollingWindows
 from .tracing import TracingRecorder, current_span_id
 
 __all__ = [
     "DEFAULT_AUDIT_INTERVAL",
+    "Histogram",
     "JsonLogFormatter",
     "MetricsRecorder",
     "NullRecorder",

@@ -14,6 +14,9 @@ validate our own exposition in CI and to drive ``mdz top`` — it is not a
 general Prometheus client.  :func:`validate` wraps it with structural
 checks (TYPE declarations, cumulative histogram buckets, ``+Inf`` bucket
 equal to ``_count``) and raises :class:`ValueError` on any violation.
+:func:`histogram` turns a parsed histogram family back into the
+:class:`~repro.telemetry.histogram.Histogram` it was rendered from, so a
+scrape's quantiles come from the same estimator as the snapshot's.
 
 No third-party dependency is involved on either side; both halves are
 plain string processing over the documented line format.
@@ -24,10 +27,14 @@ from __future__ import annotations
 import math
 import re
 
-from .timeseries import TIMER_BUCKETS
+from .histogram import TIMER_BUCKETS, Histogram
 
 #: Prefix applied to every exported metric family.
 NAMESPACE = "mdz"
+
+#: Bucket index of each ``le`` edge :func:`render` writes (``+Inf`` is
+#: the overflow bucket).
+_LE_INDEX = {le: index for index, le in enumerate(TIMER_BUCKETS + (math.inf,))}
 
 _NAME_OK = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _SAMPLE = re.compile(
@@ -110,17 +117,16 @@ def _collect_families(
     for name, view in snapshot.get("timers", {}).items():
         fam = metric_name(name, "_seconds")
         lines = family(fam, "histogram")
-        hist = {int(k): int(v) for k, v in view.get("hist", {}).items()}
-        count = int(view.get("count", 0))
+        hist = Histogram.from_json(view)
         cum = 0
         for index, edge in enumerate(TIMER_BUCKETS):
-            cum += hist.get(index, 0)
+            cum += hist.buckets.get(index, 0)
             le = _labelset({**(labels or {}), "le": _fmt(edge)})
             lines.append(f"{fam}_bucket{le} {cum}")
         le = _labelset({**(labels or {}), "le": "+Inf"})
-        lines.append(f"{fam}_bucket{le} {count}")
-        lines.append(f"{fam}_sum{tags} {_fmt(view.get('seconds', 0.0))}")
-        lines.append(f"{fam}_count{tags} {count}")
+        lines.append(f"{fam}_bucket{le} {hist.count}")
+        lines.append(f"{fam}_sum{tags} {_fmt(hist.seconds)}")
+        lines.append(f"{fam}_count{tags} {hist.count}")
 
 
 def render_many(parts: list[tuple[dict, dict | None]]) -> str:
@@ -283,38 +289,32 @@ def validate(text: str) -> dict[str, dict]:
     return families
 
 
-def histogram_quantile(entry: dict, q: float, labels: dict | None = None) -> float | None:
-    """Estimate the ``q``-quantile of one parsed histogram family.
+def histogram(entry: dict) -> Histogram:
+    """One parsed histogram family as a :class:`Histogram` on our grid.
 
-    ``entry`` is one :func:`parse` family of type histogram; ``labels``
-    filters child series (ignoring ``le``).  Returns ``None`` when the
-    histogram is empty.  Mirrors PromQL's ``histogram_quantile``: linear
-    position within the containing bucket's cumulative counts, reported
-    at the bucket's upper edge (geometric detail is below scrape
-    resolution anyway).
+    ``entry`` is one :func:`parse` family whose ``le`` edges are
+    :data:`TIMER_BUCKETS`, as :func:`render` writes them.  Every series
+    of the family adds, because histogram series add: cumulative bucket
+    counts and ``_sum`` are summed across label sets, then differenced
+    into per-bucket counts, and ``count`` is the ``+Inf`` total.  A
+    scrape carries no extrema, so quantiles of the result are not
+    clamped.  Raises :class:`ValueError` for a bucket off that grid.
     """
-    want = labels or {}
-    buckets: list[tuple[float, float]] = []
-    for name, lbls, value in entry.get("samples", []):
-        if not name.endswith("_bucket") or "le" not in lbls:
-            continue
-        if any(lbls.get(k) != v for k, v in want.items()):
-            continue
-        buckets.append((float(lbls["le"]), value))
-    buckets.sort()
-    if not buckets or buckets[-1][1] <= 0:
-        return None
-    total = buckets[-1][1]
-    target = q * total
-    prev_edge = 0.0
-    prev_cum = 0.0
-    for edge, cum in buckets:
-        if cum >= target:
-            if math.isinf(edge):
-                return prev_edge
-            if cum == prev_cum:
-                return edge
-            frac = (target - prev_cum) / (cum - prev_cum)
-            return prev_edge + frac * (edge - prev_edge)
-        prev_edge, prev_cum = edge, cum
-    return buckets[-1][0]
+    hist = Histogram()
+    cumulative: dict[int, int] = {}
+    for name, labels, value in entry.get("samples", []):
+        if name.endswith("_bucket"):
+            index = _LE_INDEX.get(float(labels.get("le", "nan")))
+            if index is None:
+                raise ValueError(f"{name}: le={labels.get('le')!r} is not "
+                                 "a TIMER_BUCKETS edge")
+            cumulative[index] = cumulative.get(index, 0) + int(value)
+        elif name.endswith("_sum"):
+            hist.seconds += value
+    below = 0
+    for index in sorted(cumulative):
+        if cumulative[index] > below:
+            hist.buckets[index] = cumulative[index] - below
+        below = cumulative[index]
+    hist.count = below
+    return hist

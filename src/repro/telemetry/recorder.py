@@ -21,17 +21,10 @@ from __future__ import annotations
 import contextvars
 import threading
 import time
-from collections import deque
+from collections import defaultdict, deque
 
-from .timeseries import (
-    TIMER_BUCKETS,
-    RollingWindows,
-    bucket_bounds,
-    bucket_index as _bucket_index,
-    bucket_value as _bucket_value,
-    percentile as _percentile,
-    percentile_bucket as _percentile_bucket,
-)
+from .histogram import Histogram
+from .timeseries import RollingWindows
 
 #: Cap on the retained event log (oldest entries are dropped beyond it).
 MAX_EVENTS = 256
@@ -45,7 +38,6 @@ MAX_EVENT_DETAIL = 512
 __all__ = [
     "MAX_EVENTS",
     "MAX_EVENT_DETAIL",
-    "TIMER_BUCKETS",
     "MetricsRecorder",
     "NullRecorder",
     "NULL_RECORDER",
@@ -168,8 +160,8 @@ class MetricsRecorder(Recorder):
     """In-memory metrics collector with a dict :meth:`snapshot`.
 
     Thread-safe: the streaming writer's producer thread and any analysis
-    thread reading :meth:`snapshot` mid-run see consistent totals.  All
-    storage is plain dicts, so a snapshot is JSON-serializable as-is.
+    thread reading :meth:`snapshot` mid-run see consistent totals.  A
+    snapshot is plain dicts, so it is JSON-serializable as-is.
     """
 
     enabled = True
@@ -182,8 +174,7 @@ class MetricsRecorder(Recorder):
         #: gauge (last value before all sessions closed, say) is
         #: distinguishable from a live one.
         self._gauge_updated: dict[str, float] = {}
-        #: name -> [call count, total seconds, min, max, {bucket: count}]
-        self._timers: dict[str, list] = {}
+        self._timers: defaultdict[str, Histogram] = defaultdict(Histogram)
         self._events: deque[dict] = deque(maxlen=MAX_EVENTS)
         self._windows = RollingWindows()
 
@@ -206,20 +197,8 @@ class MetricsRecorder(Recorder):
         """Fold one timed interval into the stage timer ``name``."""
         seconds = float(seconds)
         with self._lock:
-            cell = self._timers.get(name)
-            if cell is None:
-                cell = self._timers[name] = [
-                    0, 0.0, float("inf"), float("-inf"), {},
-                ]
-            cell[0] += 1
-            cell[1] += seconds
-            if seconds < cell[2]:
-                cell[2] = seconds
-            if seconds > cell[3]:
-                cell[3] = seconds
-            bucket = _bucket_index(seconds)
-            cell[4][bucket] = cell[4].get(bucket, 0) + 1
-            self._windows.note_observe(name, seconds, bucket)
+            self._timers[name].observe(seconds)
+            self._windows.note_observe(name, seconds)
 
     def event(self, name: str, detail: str = "") -> None:
         detail = str(detail)
@@ -242,32 +221,8 @@ class MetricsRecorder(Recorder):
     def stage_seconds(self, name: str) -> float:
         """Total seconds accumulated under one stage timer."""
         with self._lock:
-            cell = self._timers.get(name)
-            return 0.0 if cell is None else cell[1]
-
-    @staticmethod
-    def _timer_view(cell: list) -> dict:
-        """Serializable view of one timer cell, percentiles included.
-
-        Percentiles are estimates quantized by the power-of-two
-        histogram: each reported quantile is the geometric midpoint of
-        its containing bucket, so ``bucket_widths`` carries the width of
-        that bucket — the honest resolution of the estimate (roughly
-        ±41 % of the reported value).
-        """
-        count, total, lo, hi, hist = cell
-        view = {"count": count, "seconds": total}
-        if count:
-            view["min"] = lo
-            view["max"] = hi
-            widths = {}
-            for label, q in (("p50", 0.50), ("p95", 0.95), ("p99", 0.99)):
-                view[label] = min(max(_percentile(hist, count, q), lo), hi)
-                b_lo, b_hi = bucket_bounds(_percentile_bucket(hist, count, q))
-                widths[label] = b_hi - b_lo
-            view["bucket_widths"] = widths
-            view["hist"] = {str(k): v for k, v in sorted(hist.items())}
-        return view
+            hist = self._timers.get(name)
+            return 0.0 if hist is None else hist.seconds
 
     def snapshot(self) -> dict:
         """Everything recorded so far, as a JSON-serializable dict."""
@@ -285,8 +240,8 @@ class MetricsRecorder(Recorder):
                 for name in sorted(self._gauges)
             },
             "timers": {
-                name: self._timer_view(cell)
-                for name, cell in sorted(self._timers.items())
+                name: hist.to_json()
+                for name, hist in sorted(self._timers.items())
             },
             "events": list(self._events),
             "windows": self._windows.snapshot(),
@@ -311,25 +266,10 @@ class MetricsRecorder(Recorder):
             for name, value in other.get("gauges", {}).items():
                 self._gauges[name] = float(value)
                 self._gauge_updated[name] = now - float(ages.get(name, 0.0))
-            for name, cell in other.get("timers", {}).items():
-                mine = self._timers.get(name)
-                if mine is None:
-                    mine = self._timers[name] = [
-                        0, 0.0, float("inf"), float("-inf"), {},
-                    ]
-                mine[0] += int(cell["count"])
-                mine[1] += float(cell["seconds"])
-                mine[2] = min(mine[2], float(cell.get("min", mine[2])))
-                mine[3] = max(mine[3], float(cell.get("max", mine[3])))
-                for bucket, n in cell.get("hist", {}).items():
-                    bucket = int(bucket)
-                    mine[4][bucket] = mine[4].get(bucket, 0) + int(n)
-                self._windows.note_timer(
-                    name,
-                    int(cell["count"]),
-                    float(cell["seconds"]),
-                    cell.get("hist", {}),
-                )
+            for name, view in other.get("timers", {}).items():
+                hist = Histogram.from_json(view)
+                self._timers[name].merge(hist)
+                self._windows.note_timer(name, hist)
             self._events.extend(other.get("events", ()))
             self._merge_extra_locked(other)
 

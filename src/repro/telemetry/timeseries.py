@@ -14,10 +14,11 @@ recycled in place: writing into the slot of an expired epoch resets it,
 so an idle recorder carries stale buckets but never reports them (reads
 filter by epoch).
 
-The histograms reuse the recorder's fixed power-of-two bucketing
-(:data:`TIMER_BUCKETS`), which this module canonically defines so that
-:mod:`.recorder`, :mod:`.prom`, and the windows all agree on bucket
-edges; merging across processes stays plain addition.
+Each bucket's timers are :class:`~repro.telemetry.histogram.Histogram`
+objects, the type the recorder's lifetime timers use, so a window view
+is the same timer view (:meth:`~repro.telemetry.histogram.Histogram.to_json`)
+over fewer samples, and folding a worker's snapshot in stays plain
+addition.
 
 Thread safety: :class:`RollingWindows` does **not** lock.  It is always
 owned by a :class:`~repro.telemetry.recorder.MetricsRecorder`, which
@@ -28,12 +29,9 @@ from __future__ import annotations
 
 import math
 import time
-from bisect import bisect_right
+from collections import defaultdict
 
-#: Fixed histogram bucket upper bounds for stage timers: powers of two
-#: from 1 µs to ~67 s.  Fixed (not adaptive) so histograms merge across
-#: worker processes by plain addition.
-TIMER_BUCKETS = tuple(1e-6 * 2.0**i for i in range(27))
+from .histogram import Histogram
 
 #: Default width of one ring bucket, in seconds.
 DEFAULT_BUCKET_SECONDS = 5.0
@@ -45,55 +43,6 @@ DEFAULT_BUCKET_COUNT = 72
 WINDOWS = (("1m", 60.0), ("5m", 300.0))
 
 
-def bucket_index(seconds: float) -> int:
-    """Histogram bucket index for one duration."""
-    return bisect_right(TIMER_BUCKETS, seconds)
-
-
-def bucket_bounds(index: int) -> tuple[float, float]:
-    """``(lower, upper)`` bounds of one histogram bucket in seconds.
-
-    Bucket 0 spans ``(0, TIMER_BUCKETS[0]]``; the overflow bucket's upper
-    bound is reported as 2x the last edge (its true bound is +inf).
-    """
-    if index <= 0:
-        return 0.0, TIMER_BUCKETS[0]
-    if index >= len(TIMER_BUCKETS):
-        return TIMER_BUCKETS[-1], TIMER_BUCKETS[-1] * 2.0
-    return TIMER_BUCKETS[index - 1], TIMER_BUCKETS[index]
-
-
-def bucket_value(index: int) -> float:
-    """Representative duration for one bucket (geometric midpoint)."""
-    if index <= 0:
-        return TIMER_BUCKETS[0] / 2.0
-    if index >= len(TIMER_BUCKETS):
-        return TIMER_BUCKETS[-1] * 1.5
-    return math.sqrt(TIMER_BUCKETS[index - 1] * TIMER_BUCKETS[index])
-
-
-def percentile(hist: dict[int, int], total: int, q: float) -> float:
-    """Histogram-estimated ``q``-quantile (0 < q < 1) of a timer."""
-    target = q * total
-    cum = 0
-    for index in sorted(hist):
-        cum += hist[index]
-        if cum >= target:
-            return bucket_value(index)
-    return bucket_value(max(hist) if hist else 0)
-
-
-def percentile_bucket(hist: dict[int, int], total: int, q: float) -> int:
-    """Index of the bucket containing the ``q``-quantile."""
-    target = q * total
-    cum = 0
-    for index in sorted(hist):
-        cum += hist[index]
-        if cum >= target:
-            return index
-    return max(hist) if hist else 0
-
-
 class _Bucket:
     """One interval's worth of activity."""
 
@@ -102,8 +51,7 @@ class _Bucket:
     def __init__(self, epoch: int) -> None:
         self.epoch = epoch
         self.counters: dict[str, int] = {}
-        #: name -> [count, total seconds, {histogram bucket: count}]
-        self.timers: dict[str, list] = {}
+        self.timers: defaultdict[str, Histogram] = defaultdict(Histogram)
 
     def reset(self, epoch: int) -> None:
         self.epoch = epoch
@@ -159,29 +107,18 @@ class RollingWindows:
         counters = self._bucket().counters
         counters[name] = counters.get(name, 0) + int(n)
 
-    def note_observe(self, name: str, seconds: float, index: int) -> None:
-        """Fold one timed interval (pre-bucketed at ``index``)."""
-        self.note_timer(name, 1, seconds, {index: 1})
+    def note_observe(self, name: str, seconds: float) -> None:
+        """Fold one timed interval into the current bucket's timer."""
+        self._bucket().timers[name].observe(seconds)
 
-    def note_timer(
-        self, name: str, count: int, seconds: float, hist: dict
-    ) -> None:
-        """Fold an aggregated timer cell (e.g. a merged worker snapshot).
+    def note_timer(self, name: str, hist: Histogram) -> None:
+        """Fold an aggregated timer (e.g. from a merged worker snapshot).
 
         Worker-side activity arrives as whole snapshots at merge time, so
         it lands in the bucket of the *merge*, not of the original calls
         — at most one flush late, which is within a bucket's resolution.
         """
-        timers = self._bucket().timers
-        cell = timers.get(name)
-        if cell is None:
-            cell = timers[name] = [0, 0.0, {}]
-        cell[0] += int(count)
-        cell[1] += float(seconds)
-        h = cell[2]
-        for index, n in hist.items():
-            index = int(index)
-            h[index] = h.get(index, 0) + int(n)
+        self._bucket().timers[name].merge(hist)
 
     # -- reading ---------------------------------------------------------
 
@@ -199,20 +136,14 @@ class RollingWindows:
         span = min(span, len(self._ring))
         oldest = now_epoch - span + 1
         counters: dict[str, int] = {}
-        timers: dict[str, list] = {}
+        timers: defaultdict[str, Histogram] = defaultdict(Histogram)
         for bucket in self._ring:
             if bucket is None or not oldest <= bucket.epoch <= now_epoch:
                 continue
             for name, n in bucket.counters.items():
                 counters[name] = counters.get(name, 0) + n
-            for name, cell in bucket.timers.items():
-                mine = timers.get(name)
-                if mine is None:
-                    mine = timers[name] = [0, 0.0, {}]
-                mine[0] += cell[0]
-                mine[1] += cell[1]
-                for index, n in cell[2].items():
-                    mine[2][index] = mine[2].get(index, 0) + n
+            for name, hist in bucket.timers.items():
+                timers[name].merge(hist)
         # Effective span: the window cannot predate the ring's birth, and
         # the current bucket is only partially elapsed.
         elapsed = max(now - self._born, self.bucket_seconds * 1e-3)
@@ -224,18 +155,13 @@ class RollingWindows:
         rates = {
             name: n / effective for name, n in sorted(counters.items())
         }
-        timer_views = {}
-        for name, (count, total, hist) in sorted(timers.items()):
-            view = {"count": count, "seconds": total}
-            if count:
-                for label, q in (("p50", 0.50), ("p95", 0.95), ("p99", 0.99)):
-                    view[label] = percentile(hist, count, q)
-            timer_views[name] = view
         return {
             "seconds": effective,
             "counters": dict(sorted(counters.items())),
             "rates": rates,
-            "timers": timer_views,
+            "timers": {
+                name: hist.to_json() for name, hist in sorted(timers.items())
+            },
         }
 
     def snapshot(self) -> dict:

@@ -20,6 +20,7 @@ import time
 import urllib.request
 
 from .telemetry import prom
+from .telemetry.histogram import QUANTILES
 
 #: ANSI fragments; kept as data so ``color=False`` rendering stays trivial.
 _CSI = "\x1b["
@@ -196,35 +197,27 @@ def render(
         f"   backpressure waits {waits:6.0f}"
     )
 
-    # Stage latencies: the busiest histogram families, PromQL-style
-    # quantiles out of the cumulative buckets.
+    # Stage latencies: the busiest histogram families, with quantiles
+    # from the same estimator as the snapshot's timer views.
     hists = [
-        (name, entry)
+        (name, prom.histogram(entry))
         for name, entry in families.items()
         if entry.get("type") == "histogram"
     ]
-
-    def hist_count(entry: dict) -> float:
-        return sum(
-            v for n, lb, v in entry["samples"] if n.endswith("_count") and not lb
-        )
-
-    hists.sort(key=lambda kv: -hist_count(kv[1]))
+    hists.sort(key=lambda kv: -kv[1].count)
     if hists:
         head("stage latency (ms)")
         lines.append(
             f"  {'stage':34s}{'calls':>8s}{'p50':>9s}{'p95':>9s}{'p99':>9s}"
         )
-        for name, entry in hists[:8]:
-            count = hist_count(entry)
-            if not count:
+        for name, hist in hists[:8]:
+            if not hist.count:
                 continue
-            cells = []
-            for q in (0.50, 0.95, 0.99):
-                est = prom.histogram_quantile(entry, q)
-                cells.append(f"{est * 1e3:9.3f}" if est is not None else f"{'-':>9s}")
+            cells = "".join(
+                f"{hist.quantile(q)[0] * 1e3:9.3f}" for _, q in QUANTILES
+            )
             short = name.removeprefix("mdz_").removesuffix("_seconds")
-            lines.append(f"  {short:34s}{count:8.0f}" + "".join(cells))
+            lines.append(f"  {short:34s}{hist.count:8d}" + cells)
 
     # Quality plane: audit gauges plus the violation counter, loudly.
     head("quality")

@@ -190,21 +190,20 @@ class TestRoundTripAlphabets:
 
 
 class TestEncodeTelemetry:
-    def test_encode_table_cache_counters(self):
+    def test_repeat_encode_hits_codebook_cache(self):
         clear_codebook_caches()
         rng = np.random.default_rng(11)
         data = rng.integers(-40, 40, 30_000)
         with recording() as rec:
             first = HuffmanCodec.encode(data)
-            miss_after_first = rec.snapshot()["counters"][
-                "sz.huffman.encode_table.miss"
-            ]
+            after_first = rec.snapshot()["counters"]
             second = HuffmanCodec.encode(data)
-            snap = rec.snapshot()["counters"]
+            counters = rec.snapshot()["counters"]
         assert first == second
-        assert miss_after_first >= 1
-        assert snap["sz.huffman.encode_table.miss"] == miss_after_first
-        assert snap.get("sz.huffman.encode_table.hit", 0) >= 1
+        assert after_first["sz.huffman.cache.miss"] == 1
+        assert "sz.huffman.cache.hit" not in after_first
+        assert counters["sz.huffman.cache.miss"] == 1
+        assert counters["sz.huffman.cache.hit"] == 1
 
     def test_trial_reuse_counter(self):
         rng = np.random.default_rng(3)

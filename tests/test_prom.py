@@ -123,28 +123,44 @@ class TestParseValidate:
 class TestHistogramQuantile:
     def test_matches_bucket_containing_mass(self):
         families = prom.parse(prom.render(_snapshot()))
-        entry = families["mdz_stream_flush_seconds"]
-        p50 = prom.histogram_quantile(entry, 0.50)
+        hist = prom.histogram(families["mdz_stream_flush_seconds"])
+        p50, _ = hist.quantile(0.50)
         # Samples: 1e-4, 2e-4, 1e-3; the median lives near 2e-4's bucket.
         assert 1e-4 <= p50 <= 5e-4
-        p99 = prom.histogram_quantile(entry, 0.99)
+        p99, _ = hist.quantile(0.99)
         assert p99 >= p50
 
     def test_empty_histogram_returns_none(self):
         entry = {"samples": [("x_bucket", {"le": "+Inf"}, 0.0)]}
-        assert prom.histogram_quantile(entry, 0.5) is None
+        assert prom.histogram(entry).quantile(0.5) is None
 
-    def test_label_filtering(self):
-        entry = {"samples": [
-            ("t_bucket", {"session": "a", "le": "1"}, 4.0),
-            ("t_bucket", {"session": "a", "le": "+Inf"}, 4.0),
-            ("t_bucket", {"session": "b", "le": "1"}, 0.0),
-            ("t_bucket", {"session": "b", "le": "+Inf"}, 8.0),
-        ]}
-        qa = prom.histogram_quantile(entry, 0.5, {"session": "a"})
-        qb = prom.histogram_quantile(entry, 0.5, {"session": "b"})
-        assert qa is not None and qa <= 1.0
-        assert qb == 1.0  # all of b's mass is past the last finite edge
+    def test_labelled_series_add(self):
+        lo, hi = repr(TIMER_BUCKETS[9]), repr(TIMER_BUCKETS[10])
+        text = (
+            "# TYPE mdz_t_seconds histogram\n"
+            f'mdz_t_seconds_bucket{{session="a",le="{lo}"}} 4\n'
+            f'mdz_t_seconds_bucket{{session="a",le="{hi}"}} 4\n'
+            'mdz_t_seconds_bucket{session="a",le="+Inf"} 4\n'
+            'mdz_t_seconds_sum{session="a"} 0.0015\n'
+            'mdz_t_seconds_count{session="a"} 4\n'
+            f'mdz_t_seconds_bucket{{session="b",le="{lo}"}} 0\n'
+            f'mdz_t_seconds_bucket{{session="b",le="{hi}"}} 6\n'
+            'mdz_t_seconds_bucket{session="b",le="+Inf"} 6\n'
+            'mdz_t_seconds_sum{session="b"} 0.005\n'
+            'mdz_t_seconds_count{session="b"} 6\n'
+        )
+        hist = prom.histogram(prom.validate(text)["mdz_t_seconds"])
+        assert hist.count == 10
+        assert hist.seconds == pytest.approx(0.0065)
+        # a's 4 fill the bucket ending at the first edge, b's 6 the next.
+        assert hist.buckets == {9: 4, 10: 6}
+        assert hist.quantile(0.4) == (TIMER_BUCKETS[9], TIMER_BUCKETS[9] / 2)
+
+    @pytest.mark.parametrize("labels", [{"le": "1"}, {}])
+    def test_rejects_bucket_off_the_grid(self, labels):
+        entry = {"samples": [("t_bucket", labels, 1.0)]}
+        with pytest.raises(ValueError, match="TIMER_BUCKETS edge"):
+            prom.histogram(entry)
 
 
 def test_roundtrip_value_formats():

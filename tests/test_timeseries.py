@@ -1,4 +1,4 @@
-"""Rolling windows and the shared histogram-bucket math.
+"""Rolling windows and the bucket math of the shared histogram type.
 
 :class:`RollingWindows` is driven with an injectable clock, so every
 assertion about 1m/5m rates, bucket recycling, and uptime clamping is
@@ -7,16 +7,13 @@ deterministic — no sleeps.
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
-from repro.telemetry import MetricsRecorder, RollingWindows, TIMER_BUCKETS
-from repro.telemetry.timeseries import (
-    bucket_bounds,
-    bucket_index,
-    bucket_value,
-    percentile,
+from repro.telemetry import (
+    Histogram,
+    MetricsRecorder,
+    RollingWindows,
+    TIMER_BUCKETS,
 )
 
 
@@ -28,31 +25,54 @@ class _Clock:
         return self.now
 
 
+def _unclamped(buckets: dict[int, int]) -> Histogram:
+    """A histogram with bucket counts only, as a scrape rebuilds it."""
+    return Histogram.from_json({
+        "count": sum(buckets.values()),
+        "seconds": 0.0,
+        "hist": {str(k): n for k, n in buckets.items()},
+    })
+
+
 class TestBucketMath:
     def test_bounds_bracket_their_bucket(self):
         for seconds in (2e-6, 1e-3, 0.5, 30.0):
-            idx = bucket_index(seconds)
-            lo, hi = bucket_bounds(idx)
+            hist = Histogram()
+            hist.observe(seconds)
+            (index,) = hist.buckets
+            lo, hi = TIMER_BUCKETS[index - 1], TIMER_BUCKETS[index]
             assert lo <= seconds <= hi
-            assert lo < bucket_value(idx) < hi
+            # Without extrema the lone sample's median sits halfway
+            # across its bucket; with them it is clamped to the sample.
+            estimate, width = _unclamped({index: 1}).quantile(0.5)
+            assert lo < estimate < hi
+            assert width == pytest.approx(hi - lo)
+            assert hist.quantile(0.5) == (seconds, width)
 
     def test_first_and_overflow_buckets(self):
-        assert bucket_index(0.0) == 0
-        assert bucket_index(1e30) == len(TIMER_BUCKETS)
-        lo, hi = bucket_bounds(len(TIMER_BUCKETS))
+        hist = Histogram()
+        hist.observe(0.0)
+        hist.observe(1e30)
+        assert set(hist.buckets) == {0, len(TIMER_BUCKETS)}
+        estimate, width = hist.quantile(0.25)
+        assert 0.0 <= estimate <= TIMER_BUCKETS[0]
+        assert width == TIMER_BUCKETS[0]
         # The overflow bucket extrapolates one more doubling instead of
         # +inf, so reported percentile widths stay finite.
-        assert lo == TIMER_BUCKETS[-1]
-        assert hi == pytest.approx(2 * TIMER_BUCKETS[-1])
+        estimate, width = hist.quantile(0.99)
+        assert TIMER_BUCKETS[-1] <= estimate <= 2 * TIMER_BUCKETS[-1]
+        assert width == pytest.approx(TIMER_BUCKETS[-1])
 
     def test_percentile_interpolates(self):
-        hist = {10: 50, 12: 50}
-        p50 = percentile(hist, 100, 0.50)
-        lo, hi = bucket_bounds(10)
-        assert lo <= p50 <= hi
-        p99 = percentile(hist, 100, 0.99)
-        lo, hi = bucket_bounds(12)
-        assert lo <= p99 <= hi
+        hist = _unclamped({10: 50, 12: 50})
+        p25, _ = hist.quantile(0.25)
+        assert p25 == pytest.approx((TIMER_BUCKETS[9] + TIMER_BUCKETS[10]) / 2)
+        p50, _ = hist.quantile(0.50)
+        assert p50 == TIMER_BUCKETS[10]
+        p99, width = hist.quantile(0.99)
+        lo, hi = TIMER_BUCKETS[11], TIMER_BUCKETS[12]
+        assert p99 == pytest.approx(lo + 0.98 * (hi - lo))
+        assert width == pytest.approx(hi - lo)
 
 
 class TestRollingWindows:
@@ -89,14 +109,16 @@ class TestRollingWindows:
     def test_timer_percentiles_windowed(self):
         clock = _Clock()
         win = RollingWindows(bucket_seconds=5.0, clock=clock)
+        lifetime = Histogram()
         for _ in range(100):
-            win.note_observe("stage", 1e-3, bucket_index(1e-3))
+            win.note_observe("stage", 1e-3)
+            lifetime.observe(1e-3)
         view = win.window(60.0)
         cell = view["timers"]["stage"]
         assert cell["count"] == 100
-        lo, hi = bucket_bounds(bucket_index(1e-3))
         for q in ("p50", "p95", "p99"):
-            assert lo <= cell[q] <= hi
+            assert cell[q] == pytest.approx(1e-3)
+        assert cell == lifetime.to_json()
 
     def test_snapshot_shape(self):
         win = RollingWindows(clock=_Clock())

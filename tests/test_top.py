@@ -101,6 +101,22 @@ def test_render_frame_contains_all_panels():
     assert "\x1b[" not in text  # color=False means no ANSI at all
 
 
+def test_stage_panel_prints_snapshot_quantiles():
+    """The stage panel reports the quantiles ``mdz stats`` reports."""
+    rec = MetricsRecorder()
+    for seconds, n in ((1.2e-3, 50), (1.9e-3, 50), (0.3e-3, 5), (0.4, 1)):
+        for _ in range(n):
+            rec.observe("mdz.compress_batch", seconds)
+    snap = rec.snapshot()
+    frame = top.render(prom.parse(prom.render(snap)), color=False)
+    (row,) = [line for line in frame.splitlines() if "compress_batch" in line]
+    view = snap["timers"]["mdz.compress_batch"]
+    assert row.endswith(
+        "".join(f"{view[q] * 1e3:9.3f}" for q in ("p50", "p95", "p99"))
+    )
+    assert row.endswith("    1.516    2.004    2.047")
+
+
 def test_render_colors_violations_red():
     families = _families(counters={"quality.bound_violations": 3})
     text = top.render(families, color=True)
