@@ -10,6 +10,10 @@ throughput regressions — see the ``entropy-smoke`` job.
 
 Throughput is reported in MB/s of *raw symbol bytes* (int64, 8 B/symbol)
 plus Msym/s, which is substrate-independent.
+
+A second case times the batched decoder a read uses: 32 H2 blobs of
+31,370 symbols each (the size of one copper-b buffer-axis), decoded in
+one :func:`~repro.sz.huffman.decode_blobs` batch and again blob by blob.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import time
 import numpy as np
 
 from conftest import record, run_once
-from repro.sz.huffman import HuffmanCodec, clear_codebook_caches
+from repro.sz.huffman import HuffmanCodec, clear_codebook_caches, decode_blobs
 from repro.telemetry import recording
 
 N_SYMBOLS = 1_000_000
@@ -29,13 +33,19 @@ N_SYMBOLS = 1_000_000
 MIN_DECODE_SPEEDUP = 5.0
 #: Timed repetitions; the best run is reported (minimum = least noise).
 REPS = 3
+#: The batched case: blobs per batch and symbols per blob.
+BATCH_BLOBS = 32
+BATCH_SYMBOLS = 31_370
+#: Acceptance floor: one batch must beat decoding its blobs one by one
+#: by at least this factor.
+MIN_BATCH_SPEEDUP = 2.5
 
 
-def _workload() -> np.ndarray:
-    """1M quantization-like codes: geometric residuals around mid-scale."""
-    rng = np.random.default_rng(1234)
-    signs = rng.integers(0, 2, N_SYMBOLS) * 2 - 1
-    return (512 + signs * rng.geometric(0.08, N_SYMBOLS)).astype(np.int64)
+def _workload(n: int = N_SYMBOLS, seed: int = 1234) -> np.ndarray:
+    """n quantization-like codes: geometric residuals around mid-scale."""
+    rng = np.random.default_rng(seed)
+    signs = rng.integers(0, 2, n) * 2 - 1
+    return (512 + signs * rng.geometric(0.08, n)).astype(np.int64)
 
 
 def _best_seconds(fn, *args) -> float:
@@ -100,7 +110,30 @@ def run_experiment() -> dict:
         results["paths"]["legacy"]["decode_s"]
         / results["paths"]["h2"]["decode_s"]
     )
+    results["batched"] = _batched_case()
     return results
+
+
+def _batched_case() -> dict:
+    """One batch of BATCH_BLOBS H2 blobs against the same blobs one by one."""
+    arrays = [_workload(BATCH_SYMBOLS, seed) for seed in range(BATCH_BLOBS)]
+    blobs = [HuffmanCodec.encode(a) for a in arrays]
+    for got, want in zip(decode_blobs(blobs), arrays):
+        assert np.array_equal(got, want)
+    raw_mb = sum(a.nbytes for a in arrays) / 1e6
+    batch_s = _best_seconds(decode_blobs, blobs)
+    one_by_one_s = _best_seconds(
+        lambda: [HuffmanCodec.decode(blob) for blob in blobs]
+    )
+    return {
+        "blobs": BATCH_BLOBS,
+        "symbols_per_blob": BATCH_SYMBOLS,
+        "batch_s": batch_s,
+        "one_by_one_s": one_by_one_s,
+        "decode_mb_per_s": raw_mb / batch_s,
+        "one_by_one_mb_per_s": raw_mb / one_by_one_s,
+        "speedup": one_by_one_s / batch_s,
+    }
 
 
 def test_entropy_throughput(benchmark, results_dir):
@@ -110,6 +143,7 @@ def test_entropy_throughput(benchmark, results_dir):
     )
     legacy = results["paths"]["legacy"]
     h2 = results["paths"]["h2"]
+    batched = results["batched"]
     record(
         results_dir,
         "entropy_throughput",
@@ -127,7 +161,13 @@ def test_entropy_throughput(benchmark, results_dir):
                 f"{h2['decode_msym_per_s']:10.2f}"
                 f"{h2['blob_bytes'] / 1e3:10.1f}",
                 f"decode speedup: {results['decode_speedup']:.1f}x",
+                f"batched: {batched['blobs']} x {batched['symbols_per_blob']} "
+                f"symbols, {batched['decode_mb_per_s']:.1f} MB/s in one "
+                "batch, "
+                f"{batched['one_by_one_mb_per_s']:.1f} MB/s one by one "
+                f"({batched['speedup']:.1f}x)",
             ]
         ),
     )
     assert results["decode_speedup"] >= MIN_DECODE_SPEEDUP, results
+    assert batched["speedup"] >= MIN_BATCH_SPEEDUP, batched

@@ -13,11 +13,15 @@ Two entry points:
 
 from __future__ import annotations
 
+import time
+from typing import Iterable, Iterator
+
 import numpy as np
 
 from ..baselines.api import Compressor, SessionMeta, register_compressor
 from ..exceptions import CompressionError, DecompressionError
 from ..serde import BlobReader, BlobWriter
+from ..sz.huffman import HuffmanBatch
 from ..sz.lossless import lossless_compress, lossless_decompress
 from ..sz.quantizer import LinearQuantizer
 from ..telemetry import get_recorder
@@ -120,21 +124,8 @@ class MDZAxisCompressor(Compressor):
         return blob
 
     def decompress_batch(self, blob: bytes) -> np.ndarray:
-        state = self._require_state()
-        recorder = get_recorder()
-        with recorder.span("mdz.decompress.buffer"), \
-                recorder.timer("mdz.decompress_batch"):
-            reader = BlobReader(lossless_decompress(blob))
-            method_id = int(reader.read_json()["m"])
-            try:
-                name = METHOD_NAMES[method_id]
-            except KeyError:
-                raise DecompressionError(
-                    f"unknown MDZ method id {method_id}"
-                ) from None
-            out = get_method(name).decode(reader.read_bytes(), state)
-            if state.reference is None:
-                state.reference = out[0].copy()
+        """Decode one buffer: :func:`decompress_chunks` with a list of one."""
+        (out,) = decompress_chunks([(self, blob)])
         return out
 
     def _require_state(self) -> MethodState:
@@ -243,6 +234,48 @@ class MDZAxisCompressor(Compressor):
         decoder.begin(self.error_bound, self.meta)
         decoder.seed_session(state.reference, state.levels.fit)
         return decoder
+
+
+def decompress_chunks(
+    items: Iterable[tuple[MDZAxisCompressor, bytes]],
+) -> Iterator[np.ndarray]:
+    """Decode ``(session, chunk)`` pairs with one entropy pass.
+
+    Every chunk is parsed first (dictionary decoder, method tag, member
+    framing), registering its Huffman sub-blobs with one
+    :class:`~repro.sz.huffman.HuffmanBatch`; the batch is decoded once;
+    then the chunks are reconstructed and yielded in list order.  The
+    order matters: a session's first buffer sets its MT reference, which
+    its later buffers read when they are reconstructed.
+    ``mdz.decompress_batch`` is observed once per chunk and times that
+    chunk's parse and reconstruct; the batch has ``sz.huffman.decode``.
+    """
+    recorder = get_recorder()
+    batch = HuffmanBatch()
+    steps = []
+    for session, blob in items:
+        start = time.perf_counter()
+        state = session._require_state()
+        reader = BlobReader(lossless_decompress(blob))
+        method_id = int(reader.read_json()["m"])
+        try:
+            name = METHOD_NAMES[method_id]
+        except KeyError:
+            raise DecompressionError(
+                f"unknown MDZ method id {method_id}"
+            ) from None
+        reconstruct = get_method(name).parse(reader.read_bytes(), state, batch)
+        steps.append((state, reconstruct, time.perf_counter() - start))
+    batch.decode()
+    for state, reconstruct, parse_s in steps:
+        start = time.perf_counter()
+        out = reconstruct()
+        if state.reference is None:
+            state.reference = out[0].copy()
+        recorder.observe(
+            "mdz.decompress_batch", parse_s + time.perf_counter() - start
+        )
+        yield out
 
 
 class MDZ:

@@ -8,18 +8,25 @@ paper's "snapshot 0").
 
 ``encode`` returns both the serialized payload *and* the full batch
 reconstruction; the session uses the reconstruction to maintain the MT
-reference (and callers get error verification for free).  ``decode``
+reference (and callers get error verification for free).  Decoding
 mirrors the encoding exactly, so an encoder and a decoder fed the same blob
-sequence stay in lock step.
+sequence stay in lock step.  It runs in two steps, so a reader can
+decode the Huffman blobs of many payloads in one pass
+(:class:`~repro.sz.huffman.HuffmanBatch`): ``parse`` reads a payload's
+framing, registers its Huffman sub-blobs with the batch and returns the
+reconstruct step, which runs once the batch is decoded.  ``decode`` is
+the two as a batch of one.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
+from ..sz.huffman import HuffmanBatch, decode_single
 from ..sz.quantizer import LinearQuantizer
 from .levels import SessionLevelModel
 
@@ -93,6 +100,9 @@ class MDZMethod(ABC):
     :meth:`encode` composes the two stages and is what non-trial callers
     use.  A member holds its stages directly (module functions or a
     backend object such as :data:`repro.sz.stages.HUFFMAN_INT_STREAM`).
+
+    The decode side is :meth:`parse` plus the reconstruct step it
+    returns; :meth:`decode` runs them as a batch of one.
     """
 
     #: Short name ("vq", "vqt", "mt", ...).
@@ -123,5 +133,14 @@ class MDZMethod(ABC):
         return self.serialize(prepared, state), self.reconstruction(prepared)
 
     @abstractmethod
+    def parse(
+        self, blob: bytes, state: MethodState, batch: HuffmanBatch
+    ) -> Callable[[], np.ndarray]:
+        """Read a payload's framing and register its Huffman sub-blobs
+        with ``batch``; returns the step that rebuilds the (T, N) batch
+        once ``batch`` is decoded.  Reading ``state.reference`` belongs
+        in that step: an earlier payload of the same batch sets it."""
+
     def decode(self, blob: bytes, state: MethodState) -> np.ndarray:
         """Decode a payload produced by :meth:`encode` under equal state."""
+        return decode_single(self.parse, blob, state)

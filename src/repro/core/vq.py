@@ -15,17 +15,18 @@ stored in the varint side channel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from ..cluster.level_detect import LevelFit
 from ..exceptions import DecompressionError
 from ..serde import BlobReader, BlobWriter
-from ..sz.huffman import HuffmanCodec, estimate_encoded_bytes
+from ..sz.huffman import HuffmanBatch, HuffmanCodec, estimate_encoded_bytes
 from ..sz.pipeline import (
-    decode_int_stream,
     encode_int_stream,
     estimate_int_stream_bytes,
+    parse_int_stream,
 )
 from ..sz.quantizer import QuantizedBlock
 from .methods import MDZMethod, MethodState
@@ -183,9 +184,11 @@ def vq_encode_array(
     return vq_serialize(prepared, state), prepared.recon
 
 
-def vq_decode_array(blob: bytes, state: MethodState) -> np.ndarray:
-    """Inverse of :func:`vq_encode_array`."""
-    quantizer = state.quantizer
+def vq_parse_array(
+    blob: bytes, state: MethodState, batch: HuffmanBatch
+) -> Callable[[], np.ndarray]:
+    """Parse step of a :func:`vq_encode_array` blob: registers its two
+    Huffman sub-blobs with ``batch``; returns the reconstruct step."""
     layout = state.layout
     reader = BlobReader(blob)
     meta = reader.read_json()
@@ -197,14 +200,19 @@ def vq_decode_array(blob: bytes, state: MethodState) -> np.ndarray:
         centroids=np.empty(0),
         residual=0.0,
     )
-    rel = HuffmanCodec.decode(reader.read_bytes()).reshape(shape, order=layout)
-    levels = np.cumsum(rel, axis=1)
-    block = decode_int_stream(reader.read_bytes())
-    if block.codes.shape != shape:
-        raise DecompressionError(
-            f"VQ stream shape mismatch: {block.codes.shape} vs {shape}"
-        )
-    return _reconstruct(block, levels, fit, state)
+    rel = batch.add(reader.read_bytes())
+    residuals = parse_int_stream(reader.read_bytes(), batch)
+
+    def reconstruct() -> np.ndarray:
+        levels = np.cumsum(rel().reshape(shape, order=layout), axis=1)
+        block = residuals()
+        if block.codes.shape != shape:
+            raise DecompressionError(
+                f"VQ stream shape mismatch: {block.codes.shape} vs {shape}"
+            )
+        return _reconstruct(block, levels, fit, state)
+
+    return reconstruct
 
 
 def _reconstruct(block, levels, fit: LevelFit, state: MethodState) -> np.ndarray:
@@ -254,8 +262,14 @@ class VQMethod(MDZMethod):
     def reconstruction(self, prepared):
         return prepared.recon
 
-    def decode(self, blob, state):
-        return vq_decode_array(blob, state)
+    def parse(self, blob, state, batch):
+        return vq_parse_array(blob, state, batch)
+
+    # Readers call parse; decode stays in the class's own namespace
+    # because mdzbench/layertrace.py wraps it by name.
+    decode = MDZMethod.decode
+
+
 register_method(
     "vq",
     VQMethod,

@@ -16,9 +16,9 @@ import numpy as np
 
 from ..serde import BlobReader, BlobWriter
 from ..sz.pipeline import (
-    decode_int_stream,
     encode_int_stream,
     estimate_int_stream_bytes,
+    parse_int_stream,
 )
 from ..sz.predictors import timewise_encode, timewise_reconstruct
 from ..sz.quantizer import QuantizedBlock
@@ -28,8 +28,8 @@ from .registry import register_method
 from .vq import (
     VQPrepared,
     vq_estimate_bytes,
-    vq_decode_array,
     vq_head_slice,
+    vq_parse_array,
     vq_prepare,
     vq_serialize,
 )
@@ -103,17 +103,30 @@ class VQTMethod(MDZMethod):
     def reconstruction(self, prepared: VQTPrepared):
         return prepared.recon
 
-    def decode(self, blob, state: MethodState):
+    def parse(self, blob, state: MethodState, batch):
         reader = BlobReader(blob)
-        meta = reader.read_json()
-        shape = tuple(int(x) for x in meta["shape"])
-        head = vq_decode_array(reader.read_bytes(), state)
-        out = np.empty(shape, dtype=np.float64)
-        out[0] = head[0]
-        if shape[0] > 1:
-            block = decode_int_stream(reader.read_bytes())
-            out[1:] = timewise_reconstruct(block, state.quantizer, out[0])
-        return out
+        shape = tuple(int(x) for x in reader.read_json()["shape"])
+        head = vq_parse_array(reader.read_bytes(), state, batch)
+        tail = (
+            parse_int_stream(reader.read_bytes(), batch)
+            if shape[0] > 1
+            else None
+        )
+
+        def reconstruct() -> np.ndarray:
+            out = np.empty(shape, dtype=np.float64)
+            out[0] = head()[0]
+            if tail is not None:
+                out[1:] = timewise_reconstruct(tail(), state.quantizer, out[0])
+            return out
+
+        return reconstruct
+
+    # Readers call parse; decode stays in the class's own namespace
+    # because mdzbench/layertrace.py wraps it by name.
+    decode = MDZMethod.decode
+
+
 register_method(
     "vqt",
     VQTMethod,

@@ -35,12 +35,13 @@ from __future__ import annotations
 import io
 import zlib
 from dataclasses import dataclass, replace
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from ..baselines.api import SessionMeta
 from ..core.config import MDZConfig
-from ..core.mdz import MDZAxisCompressor
+from ..core.mdz import MDZAxisCompressor, decompress_chunks
 from ..exceptions import (
     CompressionError,
     ConfigurationError,
@@ -157,6 +158,59 @@ def decode_sessions(header: dict) -> list[MDZAxisCompressor]:
     return sessions
 
 
+#: Decoded values (rows x atoms x axes) that close a read group.  The
+#: grouped loop decodes consecutive buffers with one entropy pass until
+#: they hold this many values: about three copper-b buffers, while one
+#: pt buffer is a group of its own.  Larger groups run fewer rounds but
+#: hold more decoded symbols at once (see docs/architecture.md).
+GROUP_VALUES = 1 << 18
+
+
+def decode_group(
+    sessions: list[MDZAxisCompressor],
+    buffers: Sequence[tuple[np.ndarray, Sequence[bytes]]],
+) -> Iterator[np.ndarray]:
+    """Decode buffers with one entropy pass; yields each when filled.
+
+    ``buffers`` holds ``(out, chunks)`` pairs: ``out`` is the
+    ``(rows, atoms, axes)`` array to fill, ``chunks`` the buffer's
+    per-axis payloads.  Buffers are reconstructed in order, so a
+    group's buffer 0 sets the MT references its later buffers read.
+    """
+    arrays = decompress_chunks(
+        (sessions[a], chunk)
+        for _, chunks in buffers
+        for a, chunk in enumerate(chunks)
+    )
+    for out, chunks in buffers:
+        for a in range(len(chunks)):
+            out[:, :, a] = next(arrays)
+        yield out
+
+
+def decode_buffers(
+    sessions: list[MDZAxisCompressor],
+    buffers: Iterable[tuple[np.ndarray, Sequence[bytes]]],
+) -> Iterator[np.ndarray]:
+    """The grouped loop every full read goes through.
+
+    Consumes ``buffers`` (as for :func:`decode_group`) lazily and cuts
+    it into groups of consecutive buffers holding at least
+    :data:`GROUP_VALUES` decoded values (the last group may hold fewer);
+    yields each buffer's array as it is filled.
+    """
+    group: list[tuple[np.ndarray, Sequence[bytes]]] = []
+    values = 0
+    for out, chunks in buffers:
+        group.append((out, chunks))
+        values += out.size
+        if values >= GROUP_VALUES:
+            yield from decode_group(sessions, group)
+            group, values = [], 0
+    if group:
+        yield from decode_group(sessions, group)
+
+
 def _open_container(blob: bytes):
     reader = BlobReader(blob)
     try:
@@ -212,13 +266,18 @@ def read_container(blob: bytes) -> np.ndarray:
     sessions = decode_sessions(header)
     offsets = [int(o) for o in index["offsets"]]
     out = np.empty((t_count, n_atoms, n_axes), dtype=np.float64)
-    blob_i = 0
-    for t0 in range(0, t_count, bs):
-        for a in range(n_axes):
-            piece = _blob_at(payload, offsets, blob_i)
-            out[t0 : t0 + bs, :, a] = sessions[a].decompress_batch(piece)
-            blob_i += 1
+    buffers = (
+        (out[t0 : t0 + bs], _chunks_at(payload, offsets, t0 // bs, n_axes))
+        for t0 in range(0, t_count, bs)
+    )
+    for _ in decode_buffers(sessions, buffers):
+        pass
     return out
+
+
+def _chunks_at(payload: bytes, offsets: list[int], b: int, n_axes: int):
+    """The per-axis payloads of buffer ``b``."""
+    return [_blob_at(payload, offsets, b * n_axes + a) for a in range(n_axes)]
 
 
 @dataclass(frozen=True)
@@ -305,8 +364,9 @@ def read_container_info(blob: bytes) -> ContainerInfo:
 def read_container_batch(blob: bytes, batch_index: int) -> np.ndarray:
     """Decode one buffer (all axes) from a container.
 
-    Buffer 0 is decoded first when needed to rebuild the MT/VQT session
-    reference; VQ-coded containers decode the target buffer directly.
+    Buffer 0 joins the target's entropy pass when needed to rebuild the
+    MT/VQT session reference: for ``MDZ1`` whenever the target is not
+    buffer 0; ``MDZ2`` streams coded by VQ decode the target alone.
     """
     if container_version(blob) == 2:
         from ..stream.reader import StreamingReader
@@ -324,15 +384,16 @@ def read_container_batch(blob: bytes, batch_index: int) -> np.ndarray:
         )
     sessions = decode_sessions(header)
     offsets = [int(o) for o in index["offsets"]]
-    rows = min(bs, t_count - batch_index * bs)
-    out = np.empty((rows, n_atoms, n_axes), dtype=np.float64)
-    for a in range(n_axes):
-        if batch_index > 0:
-            # Prime the session reference from buffer 0 of this axis.
-            head = _blob_at(payload, offsets, a)
-            sessions[a].decompress_batch(head)
-        piece = _blob_at(payload, offsets, batch_index * n_axes + a)
-        out[:, :, a] = sessions[a].decompress_batch(piece)
+    # Buffer 0 primes the session references, in the target's group.
+    indices = [0, batch_index] if batch_index > 0 else [0]
+    group = [
+        (
+            np.empty((min(bs, t_count - b * bs), n_atoms, n_axes)),
+            _chunks_at(payload, offsets, b, n_axes),
+        )
+        for b in indices
+    ]
+    *_, out = decode_group(sessions, group)
     return out
 
 

@@ -160,10 +160,9 @@ class BlobReader:
             raise DecompressionError(
                 f"expected section tag {expected.name}, found {tag}"
             )
-        body = self._buf.read(length)
-        if len(body) != length:
+        if length > self._size - self._buf.tell():
             raise DecompressionError("truncated stream: short frame body")
-        return body
+        return self._buf.read(length)
 
     @staticmethod
     def _take(view: BinaryIO, n: int) -> bytes:

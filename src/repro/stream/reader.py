@@ -5,11 +5,16 @@ Supports three access patterns:
 * :meth:`StreamingReader.read_all` — sequential full decode, sessions
   carried across buffers exactly like the writer's;
 * :meth:`StreamingReader.read_buffer` — random access to one buffer; VQ
-  streams decode it directly, other methods first decode buffer 0 to
-  restore the session reference (same contract as legacy ``MDZ1`` batch
-  reads);
+  streams decode it directly, other methods decode buffer 0 in the same
+  group to restore the session reference (same contract as legacy
+  ``MDZ1`` batch reads);
 * :meth:`StreamingReader.iter_buffers` — incremental consumption with
   bounded memory (the analysis-side half of the in-situ pipeline).
+
+Every read decodes in groups: consecutive buffers share one Huffman
+decode pass (:func:`repro.io.container.decode_buffers`), up to
+:data:`repro.io.container.GROUP_VALUES` decoded values per group, which
+also bounds what :meth:`~StreamingReader.iter_buffers` holds at once.
 
 Opened with ``recover=True``, a footer-less file (crashed writer,
 truncated copy) is re-indexed by a linear scan and every *complete*
@@ -34,7 +39,13 @@ from typing import Iterator
 import numpy as np
 
 from ..exceptions import ContainerFormatError
-from ..io.container import ContainerInfo, decode_sessions, summarize
+from ..io.container import (
+    ContainerInfo,
+    decode_buffers,
+    decode_group,
+    decode_sessions,
+    summarize,
+)
 from . import format as fmt
 
 
@@ -243,29 +254,27 @@ class StreamingReader:
             )
         return fmt.chunk_payload(self._blob, entry)
 
-    def _decode_into(
-        self, sessions: list, buffer_index: int, out: np.ndarray
-    ) -> np.ndarray:
-        """Decode every axis of one buffer into ``out`` (rows, atoms, axes)."""
-        for a in range(self.axes):
-            out[:, :, a] = sessions[a].decompress_batch(
-                self._payload(buffer_index, a)
-            )
-        return out
+    def _chunks(self, buffer_index: int) -> list[bytes]:
+        return [self._payload(buffer_index, a) for a in range(self.axes)]
+
+    def _empty(self, buffer_index: int) -> np.ndarray:
+        rows = self._chunk_map[(buffer_index, 0)].rows
+        return np.empty((rows, self.atoms, self.axes), dtype=np.float64)
 
     def _decode_buffer(self, buffer_index: int) -> np.ndarray:
         """Decode one buffer whose chunks are all present (no range check).
 
         VQ streams decode the target buffer directly; for the stateful
-        methods buffer 0 is decoded first to restore the reference.
+        methods buffer 0 joins the target's group to restore the
+        reference.
         """
         sessions = decode_sessions(self._layout.header)
+        group = []
         if buffer_index > 0 and self.method != "vq":
-            for a in range(self.axes):
-                sessions[a].decompress_batch(self._payload(0, a))
-        rows = self._chunk_map[(buffer_index, 0)].rows
-        out = np.empty((rows, self.atoms, self.axes), dtype=np.float64)
-        return self._decode_into(sessions, buffer_index, out)
+            group.append((self._empty(0), self._chunks(0)))
+        group.append((self._empty(buffer_index), self._chunks(buffer_index)))
+        *_, out = decode_group(sessions, group)
+        return out
 
     def read_buffer(self, buffer_index: int) -> np.ndarray:
         """Decode one complete buffer to a ``(rows, atoms, axes)`` array.
@@ -283,10 +292,13 @@ class StreamingReader:
     def iter_buffers(self) -> Iterator[np.ndarray]:
         """Yield every complete buffer in order, with persistent sessions."""
         sessions = decode_sessions(self._layout.header)
-        for b in range(self._n_complete):
-            rows = self._chunk_map[(b, 0)].rows
-            out = np.empty((rows, self.atoms, self.axes), dtype=np.float64)
-            yield self._decode_into(sessions, b, out)
+        yield from decode_buffers(
+            sessions,
+            (
+                (self._empty(b), self._chunks(b))
+                for b in range(self._n_complete)
+            ),
+        )
 
     def read_all(self) -> np.ndarray:
         """Decode every readable buffer into one ``(T, N, axes)`` array.
@@ -304,11 +316,16 @@ class StreamingReader:
             return np.concatenate(parts, axis=0)
         sessions = decode_sessions(self._layout.header)
         out = np.empty((self.snapshots, self.atoms, self.axes), dtype=np.float64)
-        start = 0
-        for b in range(self._n_complete):
-            rows = self._chunk_map[(b, 0)].rows
-            self._decode_into(sessions, b, out[start:start + rows])
-            start += rows
+
+        def buffers():
+            start = 0
+            for b in range(self._n_complete):
+                rows = self._chunk_map[(b, 0)].rows
+                yield out[start:start + rows], self._chunks(b)
+                start += rows
+
+        for _ in decode_buffers(sessions, buffers()):
+            pass
         return out
 
     # -- salvage --------------------------------------------------------

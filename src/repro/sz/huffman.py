@@ -14,10 +14,14 @@ dictionary coder.  The implementation here is self-contained:
 * decoding is vectorized too: the "H2" blob format splits the symbol array
   round-robin into N independent byte-aligned sub-streams, and the decoder
   runs a round-based numpy state machine — one flat-table (or canonical
-  searchsorted) lookup per round advances all N stream cursors at once, so
+  searchsorted) lookup per round advances every stream cursor at once, so
   an n-symbol payload decodes in ~n/N vectorized rounds instead of n
-  Python-loop steps.  Legacy single-stream blobs keep decoding bit-exactly
-  through the original scalar table walker.
+  Python-loop steps.  The round loop runs over the streams of a whole
+  batch of blobs (:func:`decode_blobs`), so a batch costs as many rounds
+  as its longest blob, not the sum over its blobs; readers collect the
+  blobs of many payloads in a :class:`HuffmanBatch`.  Legacy
+  single-stream (v1) blobs keep decoding bit-exactly through the
+  original scalar table walker, one by one.
 
 The encoder codebook (lengths + canonical codes, keyed by a digest of the
 symbol histogram) and the decoder lookup structures (keyed by a digest of
@@ -28,7 +32,7 @@ rarely repeats a histogram, because each buffer's histogram differs.
 
 The public entry point is :class:`HuffmanCodec` with ``encode`` / ``decode``
 class methods that produce and consume self-contained byte blobs (codebook
-included).
+included); ``decode`` is :func:`decode_blobs` with a batch of one.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ import hashlib
 import heapq
 import threading
 from collections import OrderedDict
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -290,27 +295,22 @@ def _packed_encode_table(
 class _DecodeTable:
     """Prepared decode structures for one canonical codebook.
 
-    Two lookup strategies behind one surface:
+    Every lookup yields a packed entry ``rank << 6 | length``: ``rank``
+    indexes :attr:`symbols` and ``length`` is the code length (at most
+    57, so six bits hold it).  Two strategies sit behind it:
 
-    * ``max_len <= FLAT_TABLE_BITS`` — the classic flat ``2**max_len``
-      (symbol, length) table; O(1) per lookup.
+    * ``max_len <= FLAT_TABLE_BITS`` — :attr:`packed` is the flat
+      ``2**max_len`` table indexed by the window itself; O(1) per lookup.
     * deeper codebooks — canonical codes left-aligned to ``max_len`` form
       a strictly increasing sequence whose spans tile the window space, so
-      ``searchsorted`` on the span starts resolves a window in
-      O(log alphabet) with O(alphabet) memory.  This is what caps the
-      table: a (corrupt or foreign) blob claiming 50-bit codes can no
-      longer force a ``2**50``-entry allocation.
+      ``searchsorted`` on the span starts (:attr:`bounds`) resolves a
+      window in O(log alphabet) with O(alphabet) memory, and
+      :attr:`packed` holds one entry per symbol in canonical order.  This
+      is what caps the table: a (corrupt or foreign) blob claiming 50-bit
+      codes can no longer force a ``2**50``-entry allocation.
     """
 
-    __slots__ = (
-        "max_len",
-        "flat_sym",
-        "flat_len",
-        "bounds",
-        "sorted_sym",
-        "sorted_len",
-        "_scalar",
-    )
+    __slots__ = ("max_len", "symbols", "packed", "bounds", "_scalar")
 
     def __init__(self, symbols: np.ndarray, lengths: np.ndarray) -> None:
         if lengths.size == 0 or int(lengths.min()) < 1:
@@ -329,50 +329,35 @@ class _DecodeTable:
         kraft = sum(c << (max_len - l) for l, c in enumerate(hist) if l and c)
         if kraft != 1 << max_len:
             raise DecompressionError("incomplete Huffman codebook")
-        codes = canonical_codes(lengths)
+        # Canonical order is (length, symbol index); each code's window
+        # span is 2**(max_len - length), and the spans tile [0, 2**max_len)
+        # in that order.
+        order = np.lexsort((np.arange(lengths.size), lengths))
+        sorted_len = lengths[order]
+        entries = (order.astype(np.int64) << 6) | sorted_len
+        spans = np.left_shift(1, max_len - sorted_len)
         self.max_len = max_len
+        self.symbols = _freeze(symbols)
         self._scalar = None
         if max_len <= FLAT_TABLE_BITS:
-            size = 1 << max_len
-            flat_sym = np.zeros(size, dtype=np.int64)
-            flat_len = np.zeros(size, dtype=np.int64)
-            for sym_value, length, code in zip(symbols, lengths, codes):
-                length = int(length)
-                shift = max_len - length
-                start = int(code) << shift
-                flat_sym[start : start + (1 << shift)] = sym_value
-                flat_len[start : start + (1 << shift)] = length
-            self.flat_sym = _freeze(flat_sym)
-            self.flat_len = _freeze(flat_len)
-            self.bounds = self.sorted_sym = self.sorted_len = None
+            # At most 2**16 symbols, so every entry fits in 22 bits.
+            self.packed = _freeze(np.repeat(entries.astype(np.int32), spans))
+            self.bounds = None
         else:
-            order = np.lexsort((np.arange(lengths.size), lengths))
-            self.bounds = _freeze(
-                codes[order] << (max_len - lengths[order]).astype(np.uint64)
-            )
-            self.sorted_sym = _freeze(symbols[order].copy())
-            self.sorted_len = _freeze(lengths[order].copy())
-            self.flat_sym = self.flat_len = None
-
-    def lookup(self, windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized (symbols, lengths) for ``max_len``-bit windows."""
-        if self.flat_sym is not None:
-            idx = windows.astype(np.int64)
-            return self.flat_sym[idx], self.flat_len[idx]
-        idx = np.searchsorted(self.bounds, windows, side="right") - 1
-        return self.sorted_sym[idx], self.sorted_len[idx]
+            self.packed = _freeze(entries)
+            # Start of every span but the first: searchsorted(side="right")
+            # then returns the canonical index directly.
+            self.bounds = _freeze(np.cumsum(spans)[:-1])
 
     def scalar_tables(self):
         """Python-list lookup structures for the scalar legacy decoder."""
         if self._scalar is None:
-            if self.flat_sym is not None:
-                self._scalar = (self.flat_sym.tolist(), self.flat_len.tolist())
+            sym = self.symbols[self.packed >> 6].tolist()
+            length = (self.packed & 63).tolist()
+            if self.bounds is None:
+                self._scalar = (sym, length)
             else:
-                self._scalar = (
-                    self.bounds.tolist(),
-                    self.sorted_sym.tolist(),
-                    self.sorted_len.tolist(),
-                )
+                self._scalar = (self.bounds.tolist(), sym, length)
         return self._scalar
 
 
@@ -600,52 +585,316 @@ class HuffmanCodec:
 
     @staticmethod
     def decode(blob: bytes) -> np.ndarray:
-        """Decode a blob produced by :meth:`encode`.
+        """Decode a blob produced by :meth:`encode`: a batch of one.
 
         The symbol dtype recorded at encode time is restored, so an
         ``int32`` array comes back ``int32``; blobs written before the
         dtype tag existed decode as ``int64`` (the historical behaviour).
-        H2 blobs (``"v": 2``) run the vectorized multi-stream decoder;
-        anything else takes the legacy scalar path, bit-exactly.
+        See :func:`decode_blobs` for the decoder itself.
         """
-        recorder = get_recorder()
-        reader = BlobReader(blob)
-        meta = reader.read_json()
-        n = int(meta["n"])
-        dtype = np.dtype(str(meta.get("dt", "<i8")))
-        if n == 0:
-            return np.empty(0, dtype=dtype)
-        version = int(meta.get("v", 1))
-        if version not in (1, 2):
-            raise DecompressionError(f"unsupported Huffman blob version {version}")
-        with recorder.span("sz.huffman.decode", symbols=n), \
-                recorder.timer("sz.huffman.decode"):
-            dense_base = meta.get("dense")
-            if dense_base is None:
-                symbols = reader.read_array().astype(np.int64)
-                lengths = reader.read_array().astype(np.int64)
+        return decode_blobs([blob])[0]
+
+
+def decode_blobs(blobs: Sequence[bytes]) -> list[np.ndarray]:
+    """Decode Huffman blobs; returns one symbol array per blob, in order.
+
+    Every H2 stream of every blob runs through one round loop (see
+    :func:`_decode_h2`), so the batch costs as many rounds as its
+    longest blob rather than the sum over its blobs.  v1 blobs take the
+    scalar walker :func:`_decode_stream` one by one; empty and
+    single-symbol blobs need no bit reading.  A codebook deeper than
+    :data:`FLAT_TABLE_BITS` runs the round loop in a batch of its own.
+    Any corrupt blob raises :class:`DecompressionError` for the batch.
+    """
+    if not blobs:
+        return []
+    recorder = get_recorder()
+    out: list = [None] * len(blobs)
+    flat: list[tuple[int, _H2Blob]] = []
+    deep: list[tuple[int, _H2Blob]] = []
+    symbols = rounds = 0
+    with recorder.span("sz.huffman.decode", blobs=len(blobs)), \
+            recorder.timer("sz.huffman.decode"):
+        for i, blob in enumerate(blobs):
+            parsed = _parse_blob(blob)
+            if isinstance(parsed, _H2Blob):
+                symbols += parsed.n
+                (flat if parsed.table.bounds is None else deep).append(
+                    (i, parsed)
+                )
             else:
-                dense = reader.read_array().astype(np.int64)
-                present = np.nonzero(dense)[0]
-                symbols = present + int(dense_base)
-                lengths = dense[present]
-            if symbols.size == 1:
-                # Degenerate single-symbol alphabet: the 1-bit codes carry
-                # no information beyond the count.
-                out = np.full(n, symbols[0], dtype=np.int64)
-            else:
-                table = _cached_decode_table(symbols, lengths)
-                if version == 2:
-                    n_streams = int(meta.get("ns", 0))
-                    sizes = reader.read_array()
-                    payload = reader.read_bytes()
-                    out = _decode_streams(payload, sizes, n, n_streams, table)
-                else:
-                    payload = reader.read_bytes()
-                    out = _decode_stream(payload, n, table)
-        if recorder.enabled:
-            recorder.count("sz.huffman.decode.symbols", n)
-        return out.astype(dtype, copy=False)
+                symbols += parsed.size
+                out[i] = parsed
+        for group in [flat] + [[item] for item in deep]:
+            if group:
+                arrays, group_rounds = _decode_h2([h2 for _, h2 in group])
+                rounds += group_rounds
+                for (i, _), array in zip(group, arrays):
+                    out[i] = array
+    if recorder.enabled:
+        recorder.count("sz.huffman.decode.symbols", symbols)
+        if flat or deep:
+            recorder.count("sz.huffman.decode.h2_blobs", len(flat) + len(deep))
+            recorder.count("sz.huffman.decode.rounds", rounds)
+            recorder.count(
+                "sz.huffman.decode.streams",
+                sum(h2.sizes.size for _, h2 in flat + deep),
+            )
+    return out
+
+
+class HuffmanBatch:
+    """Huffman blobs collected for one :func:`decode_blobs` pass.
+
+    A member's parse step registers each sub-blob it finds with
+    :meth:`add` and keeps the returned handle; after :meth:`decode`,
+    calling a handle returns that blob's symbols.
+    """
+
+    def __init__(self) -> None:
+        self._blobs: list[bytes] = []
+        self._symbols: list[np.ndarray] = []
+
+    def add(self, blob: bytes) -> Callable[[], np.ndarray]:
+        """Register ``blob``; returns the handle to its symbols."""
+        index = len(self._blobs)
+        self._blobs.append(blob)
+        return lambda: self._symbols[index]
+
+    def decode(self) -> None:
+        """Decode every registered blob in one entropy pass."""
+        self._symbols = decode_blobs(self._blobs)
+
+
+def decode_single(parse: Callable, *args):
+    """Run a parse step as a batch of one: ``parse(*args, batch)``
+    registers its blobs and returns the reconstruct step, which runs
+    once the batch is decoded."""
+    batch = HuffmanBatch()
+    reconstruct = parse(*args, batch)
+    batch.decode()
+    return reconstruct()
+
+
+class _H2Blob(NamedTuple):
+    """A validated H2 blob awaiting the round loop."""
+
+    n: int
+    dtype: np.dtype
+    table: _DecodeTable
+    sizes: np.ndarray
+    counts: np.ndarray
+    payload: bytes
+
+
+def _parse_blob(blob: bytes) -> np.ndarray | _H2Blob:
+    """Validate one blob; decode it unless it needs the round loop.
+
+    Every code is at least one bit long, so a blob claiming more
+    symbols than its payload has bits (or an H2 stream more symbols
+    than its own bits) is rejected before anything is sized by the
+    claimed count.
+    """
+    reader = BlobReader(blob)
+    meta = reader.read_json()
+    n = int(meta["n"])
+    dtype = np.dtype(str(meta.get("dt", "<i8")))
+    if n == 0:
+        return np.empty(0, dtype=dtype)
+    version = int(meta.get("v", 1))
+    if version not in (1, 2):
+        raise DecompressionError(f"unsupported Huffman blob version {version}")
+    dense_base = meta.get("dense")
+    if dense_base is None:
+        symbols = reader.read_array().astype(np.int64)
+        lengths = reader.read_array().astype(np.int64)
+    else:
+        dense = reader.read_array().astype(np.int64)
+        present = np.nonzero(dense)[0]
+        symbols = present + int(dense_base)
+        lengths = dense[present]
+    sizes = reader.read_array() if version == 2 else None
+    payload = reader.read_bytes()
+    if not 0 < n <= 8 * len(payload):
+        raise DecompressionError(
+            f"Huffman blob claims {n} symbols; its payload holds "
+            f"{8 * len(payload)} bits"
+        )
+    if version == 2:
+        n_streams = int(meta.get("ns", 0))
+        sizes, counts = _check_streams(n_streams, sizes, n, payload)
+    if symbols.size == 1:
+        # Degenerate single-symbol alphabet: the 1-bit codes carry no
+        # information beyond the count.
+        return np.full(n, symbols[0], dtype=np.int64).astype(dtype, copy=False)
+    table = _cached_decode_table(symbols, lengths)
+    if version == 1:
+        return _decode_stream(payload, n, table).astype(dtype, copy=False)
+    return _H2Blob(n, dtype, table, sizes, counts, payload)
+
+
+def _check_streams(
+    n_streams: int, sizes: np.ndarray, n: int, payload: bytes
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validate an H2 stream table; returns (sizes, per-stream counts).
+
+    Stream ``k`` carries symbols ``k, k+N, k+2N, ...`` of the ``n``.
+    """
+    if n_streams < 1 or n_streams > MAX_STREAMS:
+        raise DecompressionError(f"corrupt H2 stream count {n_streams}")
+    sizes = np.asarray(sizes).astype(np.int64)
+    if sizes.size != n_streams:
+        raise DecompressionError(
+            f"H2 stream table has {sizes.size} entries for {n_streams} streams"
+        )
+    if (sizes < 0).any() or int(sizes.sum()) != len(payload):
+        raise DecompressionError("H2 stream sizes disagree with payload length")
+    # A valid round-robin split is balanced; reject degenerate size tables.
+    width = int(sizes.max()) + 16
+    if n_streams * width > 2 * len(payload) + 64 * n_streams + 4096:
+        raise DecompressionError("unbalanced H2 stream sizes")
+    counts = np.full(n_streams, n // n_streams, dtype=np.int64)
+    counts[: n % n_streams] += 1
+    if (counts > 8 * sizes).any():
+        raise DecompressionError(
+            "H2 stream claims more symbols than it has bits"
+        )
+    return sizes, counts
+
+
+def _byte_words(payload: bytes) -> np.ndarray:
+    """``word[i]`` = bytes ``i..i+7`` of ``payload`` (zero-padded),
+    big-endian: one 64-bit word per byte."""
+    buf = np.frombuffer(payload + bytes(8), dtype=np.uint8)
+    view = np.ndarray(
+        (len(payload) + 1,), dtype=">u8", buffer=buf, strides=(1,)
+    )
+    return view.astype(np.uint64)
+
+
+def _decode_h2(blobs: list[_H2Blob]) -> tuple[list[np.ndarray], int]:
+    """One round loop over every stream of ``blobs``; returns the symbol
+    arrays and the number of rounds run.
+
+    The payloads sit back to back in one byte array, and a stream's
+    cursor is an absolute bit position in it.  Each round gathers one
+    64-bit word per active stream, cuts the stream's ``max_len``-bit
+    window out of it (left shift by the cursor's bit offset, logical
+    right shift by ``64 - max_len``), adds the stream's offset into the
+    concatenated packed tables and looks up ``rank << 6 | length``.
+    Window bits past the end of a code never change the lookup, so a
+    window that runs into the next stream's bytes decodes what zero
+    padding would; a cursor that leaves its stream has misread, and the
+    exhaustion check rejects it.
+
+    Streams are sorted by symbol count, longest first, so each round's
+    active streams are a prefix and round ``r`` fills the next
+    ``active`` slots of one flat array.  A single blob is already in that
+    order (round-robin counts never increase) and its flat array is in
+    symbol order, so it skips the sort and the un-permute copy.
+    """
+    tables = {id(h2.table): h2.table.packed for h2 in blobs}
+    table_sizes = [table.size for table in tables.values()]
+    bases = dict(zip(tables, np.cumsum([0] + table_sizes)))
+    packed = np.concatenate(list(tables.values()))
+    streams = [h2.sizes.size for h2 in blobs]
+    sizes = np.concatenate([h2.sizes for h2 in blobs])
+    counts = np.concatenate([h2.counts for h2 in blobs])
+    ends = np.cumsum(sizes) * 8
+    cursors = ends - sizes * 8
+    shifts = np.repeat(
+        np.array([64 - h2.table.max_len for h2 in blobs], dtype=np.uint64),
+        streams,
+    )
+    offsets = None
+    if len(tables) > 1:
+        offsets = np.repeat(
+            np.array([bases[id(h2.table)] for h2 in blobs], dtype=np.int64),
+            streams,
+        )
+    bounds = blobs[0].table.bounds  # a deep codebook is a batch of its own
+    order = None
+    if len(blobs) > 1:
+        order = np.argsort(-counts, kind="stable")
+        counts, cursors, ends, shifts = (
+            counts[order], cursors[order], ends[order], shifts[order]
+        )
+        if offsets is not None:
+            offsets = offsets[order]
+    words = _byte_words(b"".join(h2.payload for h2 in blobs))
+    flat = np.empty(int(counts.sum()), dtype=packed.dtype)
+    rounds = int(counts[0])
+    descending = -counts
+    segments = []
+    r = pos = 0
+    while r < rounds:
+        # The streams still running in round r stay the same set until
+        # the shortest of them ends.
+        active = int(np.searchsorted(descending, -r, side="left"))
+        stop = int(counts[active - 1])
+        cur = cursors[:active]
+        shift = shifts[:active]
+        offset = None if offsets is None else offsets[:active]
+        # Shifts run on unsigned views; the window then reads as int64.
+        cur_u = cur.view(np.uint64)
+        tmp = np.empty(active, dtype=np.int64)
+        tmp_u = tmp.view(np.uint64)
+        win = np.empty(active, dtype=np.int64)
+        win_u = win.view(np.uint64)
+        length = np.empty(active, dtype=packed.dtype)
+        for _ in range(r, stop):
+            np.right_shift(cur, 3, out=tmp)
+            words.take(tmp, out=win_u, mode="clip")
+            np.bitwise_and(cur_u, 7, out=tmp_u)
+            np.left_shift(win_u, tmp_u, out=win_u)
+            np.right_shift(win_u, shift, out=win_u)
+            index = win
+            if bounds is not None:
+                index = np.searchsorted(bounds, win, side="right")
+            elif offset is not None:
+                np.add(win, offset, out=win)
+            dst = flat[pos : pos + active]
+            packed.take(index, out=dst, mode="clip")
+            np.bitwise_and(dst, 63, out=length)
+            np.add(cur, length, out=cur)
+            pos += active
+        block = flat[pos - (stop - r) * active : pos]
+        segments.append((r, stop, block.reshape(stop - r, active)))
+        r = stop
+    del words
+    if (cursors > ends).any():
+        raise DecompressionError("Huffman stream exhausted before count")
+    if order is None:
+        h2 = blobs[0]
+        np.right_shift(flat, 6, out=flat)
+        return [h2.table.symbols.astype(h2.dtype).take(flat)], rounds
+    # Un-permute: a segment's rounds share one active set, so it is a
+    # (rounds, active) block.  A blob's streams sit in two runs of
+    # columns, its full streams (one symbol more) and the rest.
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    arrays = []
+    first = 0
+    for h2, n_streams in zip(blobs, streams):
+        height = int(h2.counts[0])
+        full = h2.n - (height - 1) * n_streams
+        runs = [(position[first], 0, full, height)]
+        if full < n_streams:
+            runs.append((position[first + full], full, n_streams, height - 1))
+        first += n_streams
+        grid = np.empty((height, n_streams), dtype=np.intp)
+        for r0, r1, block in segments:
+            for column, lo, hi, until in runs:
+                rows = min(r1, until) - r0
+                if rows > 0:
+                    np.right_shift(
+                        block[:rows, column : column + hi - lo],
+                        6,
+                        out=grid[r0 : r0 + rows, lo:hi],
+                    )
+        symbols = h2.table.symbols.astype(h2.dtype)
+        arrays.append(symbols.take(grid.ravel()[: h2.n]))
+    return arrays, rounds
 
 
 def _compact_symbols(symbols: np.ndarray) -> np.ndarray:
@@ -658,81 +907,6 @@ def _compact_symbols(symbols: np.ndarray) -> np.ndarray:
     return symbols.astype(np.int64)
 
 
-def _decode_streams(
-    payload: bytes,
-    sizes: np.ndarray,
-    n: int,
-    n_streams: int,
-    table: _DecodeTable,
-) -> np.ndarray:
-    """Round-based vectorized decode of an H2 multi-stream payload.
-
-    All N stream cursors advance together: each round gathers one 64-bit
-    window per stream from a precombined sliding-word matrix, resolves all
-    of them with one table lookup, writes the symbols of round ``r`` to
-    ``out[r*N : r*N + N]`` (round-robin is contiguous in round-major
-    order), and bumps the cursors by the decoded code lengths.  Runaway
-    cursors (truncated/corrupt streams) read zero padding, overrun their
-    stream's bit budget, and are rejected by the final exhaustion check.
-    """
-    if n_streams < 1 or n_streams > MAX_STREAMS:
-        raise DecompressionError(f"corrupt H2 stream count {n_streams}")
-    sizes = np.asarray(sizes).astype(np.int64)
-    if sizes.size != n_streams:
-        raise DecompressionError(
-            f"H2 stream table has {sizes.size} entries for {n_streams} streams"
-        )
-    if (sizes < 0).any() or int(sizes.sum()) != len(payload):
-        raise DecompressionError("H2 stream sizes disagree with payload length")
-    width = int(sizes.max()) + 16
-    # A valid round-robin split is balanced; reject degenerate size tables
-    # before they can inflate the (streams x width) state matrices.
-    if n_streams * width > 2 * len(payload) + 64 * n_streams + 4096:
-        raise DecompressionError("unbalanced H2 stream sizes")
-    mat = np.zeros((n_streams, width), dtype=np.uint8)
-    raw = np.frombuffer(payload, dtype=np.uint8)
-    if raw.size:
-        row_idx = np.repeat(np.arange(n_streams), sizes)
-        offsets = np.cumsum(sizes) - sizes
-        col_idx = np.arange(raw.size, dtype=np.int64) - np.repeat(offsets, sizes)
-        mat[row_idx, col_idx] = raw
-    # Precombine: word[k, p] = bytes p..p+7 of stream k, big-endian, so a
-    # round's window gather is a single fancy index into a flat array.
-    word_cols = width - 7
-    words = np.zeros((n_streams, word_cols), dtype=np.uint64)
-    for j in range(8):
-        words <<= np.uint64(8)
-        words |= mat[:, j : j + word_cols]
-    flat_words = words.ravel()
-    row_base = np.arange(n_streams, dtype=np.int64) * word_cols
-    need = np.uint64(64 - table.max_len)
-    mask = np.uint64((1 << table.max_len) - 1)
-    out = np.empty(n, dtype=np.int64)
-    cursors = np.zeros(n_streams, dtype=np.int64)
-    full_rounds, remainder = divmod(n, n_streams)
-    rounds = full_rounds + (1 if remainder else 0)
-    byte_cap = word_cols - 1
-    for r in range(rounds):
-        active = n_streams if r < full_rounds else remainder
-        cur = cursors[:active]
-        byte_idx = np.minimum(cur >> 3, byte_cap)
-        window = (
-            flat_words[row_base[:active] + byte_idx]
-            >> (need - (cur & 7).astype(np.uint64))
-        ) & mask
-        sym, length = table.lookup(window)
-        out[r * n_streams : r * n_streams + active] = sym
-        cur += length
-    if (cursors > sizes * 8).any():
-        raise DecompressionError("Huffman stream exhausted before count")
-    recorder = get_recorder()
-    if recorder.enabled:
-        recorder.count("sz.huffman.decode.h2_blobs")
-        recorder.count("sz.huffman.decode.rounds", rounds)
-        recorder.count("sz.huffman.decode.streams", n_streams)
-    return out
-
-
 def _decode_stream(payload: bytes, n: int, table: _DecodeTable) -> np.ndarray:
     """Scalar sequential decode of ``n`` symbols (legacy v1 blobs).
 
@@ -742,14 +916,14 @@ def _decode_stream(payload: bytes, n: int, table: _DecodeTable) -> np.ndarray:
     O(2**max_len) — see the satellite cap in :class:`_DecodeTable`.
     """
     max_len = table.max_len
-    if table.flat_sym is not None:
+    if table.bounds is None:
         table_sym, table_len = table.scalar_tables()
         lookup = None
     else:
         bounds, sorted_sym, sorted_len = table.scalar_tables()
 
         def lookup(window: int) -> int:
-            return bisect.bisect_right(bounds, window) - 1
+            return bisect.bisect_right(bounds, window)
 
     out: list[int] = []
     append = out.append

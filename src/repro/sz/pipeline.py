@@ -16,6 +16,8 @@ compression ratio on Helium-B (Table III).
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from ..exceptions import DecompressionError
@@ -28,7 +30,12 @@ from .bitio import (
     zigzag_decode,
     zigzag_encode,
 )
-from .huffman import HuffmanCodec, estimate_encoded_bytes
+from .huffman import (
+    HuffmanBatch,
+    HuffmanCodec,
+    decode_single,
+    estimate_encoded_bytes,
+)
 from .quantizer import QuantizedBlock
 
 
@@ -109,20 +116,33 @@ def estimate_int_stream_bytes(
     )
 
 
-def decode_int_stream(blob: bytes) -> QuantizedBlock:
-    """Inverse of :func:`encode_int_stream`."""
+def parse_int_stream(
+    blob: bytes, batch: HuffmanBatch
+) -> Callable[[], QuantizedBlock]:
+    """Parse step of :func:`decode_int_stream`: registers the code blob
+    with ``batch`` and returns the step that builds the block once the
+    batch is decoded."""
     reader = BlobReader(blob)
     meta = reader.read_json()
     shape = tuple(int(x) for x in meta["shape"])
     layout = str(meta.get("layout", "C"))
     if layout not in ("C", "F"):
         raise DecompressionError(f"corrupt layout tag {layout!r}")
-    flat = HuffmanCodec.decode(reader.read_bytes())
-    codes = flat.reshape(shape, order=layout)
-    wide = zigzag_decode(decode_varints(reader.read_bytes(), int(meta["wide_n"])))
-    return QuantizedBlock(
-        codes=np.ascontiguousarray(codes),
-        wide=wide.astype(np.int64),
-        marker=int(meta["marker"]),
-        order=str(meta["order"]),
-    )
+    codes = batch.add(reader.read_bytes())
+    side = reader.read_bytes()
+
+    def reconstruct() -> QuantizedBlock:
+        wide = zigzag_decode(decode_varints(side, int(meta["wide_n"])))
+        return QuantizedBlock(
+            codes=np.ascontiguousarray(codes().reshape(shape, order=layout)),
+            wide=wide.astype(np.int64),
+            marker=int(meta["marker"]),
+            order=str(meta["order"]),
+        )
+
+    return reconstruct
+
+
+def decode_int_stream(blob: bytes) -> QuantizedBlock:
+    """Inverse of :func:`encode_int_stream` (a batch of one)."""
+    return decode_single(parse_int_stream, blob)

@@ -1,12 +1,16 @@
 """Entropy backends the compression members hold directly.
 
-Each backend bundles the three pipeline verbs (``encode`` / ``estimate``
-/ ``decode``) into one namespace object, so a member swaps its whole
-entropy stage by setting one class attribute — compare
+Each backend bundles the pipeline verbs (``encode`` / ``estimate`` /
+``parse`` / ``decode``) into one namespace object, so a member swaps its
+whole entropy stage by setting one class attribute — compare
 :data:`HUFFMAN_INT_STREAM` (global Huffman codebook, Seq-1/Seq-2 aware),
 which :class:`~repro.core.mt.MTMethod` holds, with :data:`BITPACK`
 (per-region bit depths, arXiv 2404.02826 style), which
 :class:`~repro.core.bitadaptive.BitAdaptiveMethod` holds instead.
+
+``parse(blob, batch)`` is the first half of ``decode``: it registers
+the blob's Huffman sub-blobs with a :class:`~repro.sz.huffman.HuffmanBatch`
+and returns the step that builds the block once the batch is decoded.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from . import pipeline as _pipeline
 HUFFMAN_INT_STREAM = SimpleNamespace(
     encode=_pipeline.encode_int_stream,
     estimate=_pipeline.estimate_int_stream_bytes,
+    parse=_pipeline.parse_int_stream,
     decode=_pipeline.decode_int_stream,
 )
 
@@ -30,7 +35,9 @@ HUFFMAN_INT_STREAM = SimpleNamespace(
 #: the Huffman backend; extra keyword arguments are accepted and
 #: ignored so the two are call-compatible.  ``encode`` looks
 #: ``bitpack_encode`` up at call time, so a wrapper installed on the
-#: module attribute sees every call.
+#: module attribute sees every call.  ``parse`` registers nothing: its
+#: reconstruct step looks ``BITPACK.decode`` up when it runs, for the
+#: same reason.
 BITPACK = SimpleNamespace(
     encode=lambda block, layout="C", alphabet_hint=None, streams=None: (
         _bitpack.bitpack_encode(block, layout)
@@ -38,5 +45,6 @@ BITPACK = SimpleNamespace(
     estimate=lambda block, layout="C", alphabet_hint=None, streams=None: (
         _bitpack.bitpack_estimate(block, layout)
     ),
+    parse=lambda blob, batch: lambda: BITPACK.decode(blob),
     decode=_bitpack.bitpack_decode,
 )

@@ -1,0 +1,141 @@
+"""Grouped reads: one entropy pass per group of buffers.
+
+Every full read (``StreamingReader.read_all``/``iter_buffers``, MDZ1
+``read_container``) cuts the stream into groups of consecutive buffers
+by :data:`repro.io.container.GROUP_VALUES`; random access decodes
+buffer 0 and the target as one group.  Whatever the grouping, the
+arrays must equal a decode that gives every buffer a group of its own.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+import repro.io.container as container
+from repro.core.config import MDZConfig
+from repro.core.mdz import MDZ
+from repro.io.container import (
+    _open_container,
+    read_container,
+    read_container_batch,
+)
+from repro.stream.reader import StreamingReader
+from repro.telemetry import recording
+
+from .conftest import MDZ1_FIXTURES
+
+ALL_MEMBERS = ("vq", "vqt", "mt", "interp", "bitadaptive")
+
+#: name -> config; 13 snapshots at buffer size 3 leave a short last
+#: buffer, and 2100 atoms put the tail and VQ blobs on the H2 path
+#: (buffer heads stay v1).
+CONFIGS = {
+    "default-pool": MDZConfig(buffer_size=3),
+    "five-member-pool": MDZConfig(buffer_size=3, adp_members=ALL_MEMBERS),
+    "seq1": MDZConfig(buffer_size=3, sequence_mode="seq1"),
+    "seq2": MDZConfig(buffer_size=3, sequence_mode="seq2"),
+    "mt-only": MDZConfig(buffer_size=3, method="mt"),
+}
+
+
+@pytest.fixture(scope="module")
+def crystal() -> np.ndarray:
+    rng = np.random.default_rng(2024)
+    levels = rng.integers(0, 12, (2100, 3)) * 1.7
+    vibration = rng.normal(0.0, 0.05, (13, 2100, 3))
+    drift = np.cumsum(rng.normal(0.0, 0.003, (13, 1, 3)), axis=0)
+    return levels[None] + vibration + drift
+
+
+@pytest.fixture(scope="module")
+def archives(crystal) -> dict[str, bytes]:
+    return {
+        name: MDZ(config).compress(crystal)
+        for name, config in CONFIGS.items()
+    }
+
+
+def _reads(blob: bytes) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """(read_all, concatenated iter_buffers, every read_buffer) of an
+    MDZ2 archive."""
+    reader = StreamingReader(blob)
+    return (
+        reader.read_all(),
+        np.concatenate(list(reader.iter_buffers())),
+        [reader.read_buffer(b) for b in range(reader.n_buffers)],
+    )
+
+
+def _assert_same(got, want) -> None:
+    full, iterated, buffers = got
+    assert np.array_equal(full, want[0])
+    assert np.array_equal(iterated, want[0])
+    assert len(buffers) == len(want[2])
+    for a, b in zip(buffers, want[2]):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_groupings_decode_identically(name, archives, crystal, monkeypatch):
+    blob = archives[name]
+    monkeypatch.setattr(container, "GROUP_VALUES", 1)
+    alone = _reads(blob)
+    bound = np.asarray(StreamingReader(blob).error_bounds)
+    error = np.abs(alone[0] - crystal).max(axis=(0, 1))
+    assert (error <= bound * (1 + 1e-9)).all()
+    buffer_values = 3 * 2100 * 3
+    # Groups of two and three buffers, then the whole stream in one.
+    for budget in (2 * buffer_values - 1, 3 * buffer_values, 10**9):
+        monkeypatch.setattr(container, "GROUP_VALUES", budget)
+        _assert_same(_reads(blob), alone)
+
+
+def test_mt_group_boundary_right_after_buffer_0(archives, monkeypatch):
+    """Buffer 0 closes the first group; the MT buffers after it read the
+    reference it left in the sessions."""
+    blob = archives["mt-only"]
+    monkeypatch.setattr(container, "GROUP_VALUES", 10**9)
+    whole = _reads(blob)
+    monkeypatch.setattr(container, "GROUP_VALUES", 3 * 2100 * 3)
+    _assert_same(_reads(blob), whole)
+
+
+def test_one_entropy_pass_per_group(archives, monkeypatch):
+    """Groups of two buffers: one Huffman batch each, and fewer rounds
+    than with a group per buffer."""
+    blob = archives["default-pool"]
+    n_buffers = StreamingReader(blob).n_buffers
+    snapshots = {}
+    for budget in (1, 2 * 3 * 2100 * 3):
+        monkeypatch.setattr(container, "GROUP_VALUES", budget)
+        with recording() as rec:
+            StreamingReader(blob).read_all()
+        snapshots[budget] = rec.snapshot()
+    alone, paired = snapshots[1], snapshots[2 * 3 * 2100 * 3]
+    assert alone["timers"]["sz.huffman.decode"]["count"] == n_buffers
+    assert paired["timers"]["sz.huffman.decode"]["count"] == -(-n_buffers // 2)
+    # mdz.decompress_batch still observes every (buffer, axis) chunk.
+    assert paired["timers"]["mdz.decompress_batch"]["count"] == 3 * n_buffers
+    rounds = "sz.huffman.decode.rounds"
+    assert paired["counters"][rounds] < alone["counters"][rounds]
+
+
+@pytest.mark.parametrize(
+    "fixture", sorted(p.name for p in MDZ1_FIXTURES.glob("*.mdz"))
+)
+def test_mdz1_fixtures_group_identically(fixture, monkeypatch):
+    blob = (MDZ1_FIXTURES / fixture).read_bytes()
+    header, _, _ = _open_container(blob)
+    n_batches = -(-int(header["snapshots"]) // int(header["buffer_size"]))
+    monkeypatch.setattr(container, "GROUP_VALUES", 1)
+    alone = read_container(blob)
+    rows = int(header["buffer_size"])
+    buffer_values = rows * int(header["atoms"]) * int(header["axes"])
+    for budget in (2 * buffer_values, 10**9):
+        monkeypatch.setattr(container, "GROUP_VALUES", budget)
+        assert np.array_equal(read_container(blob), alone)
+    for b in range(n_batches):
+        assert np.array_equal(
+            read_container_batch(blob, b), alone[b * rows : (b + 1) * rows]
+        )

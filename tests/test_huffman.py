@@ -1,16 +1,23 @@
 """Tests for the canonical Huffman codec."""
 
+import functools
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import DecompressionError
+from repro.serde import BlobReader, BlobWriter
 from repro.sz.huffman import (
     MAX_CODE_LENGTH,
     HuffmanCodec,
+    _DecodeTable,
+    _decode_stream,
     canonical_codes,
     code_lengths,
+    decode_blobs,
 )
 
 
@@ -166,6 +173,120 @@ def _hand_rolled_blob(
     return writer.getvalue()
 
 
+def _decode_streams(payload, sizes, n, n_streams, symbols, lengths):
+    """The single-blob H2 decoder the batched one replaced: the oracle.
+
+    All N stream cursors of one blob advance together: each round
+    gathers one 64-bit window per stream from a sliding-word matrix,
+    resolves them with a canonical searchsorted lookup (built here from
+    the codebook, independently of the decoder's packed tables) and
+    writes the symbols of round ``r`` to ``out[r*N : r*N + N]``.
+    """
+    if n_streams < 1:
+        raise DecompressionError(f"corrupt H2 stream count {n_streams}")
+    max_len = int(lengths.max())
+    order = np.lexsort((np.arange(lengths.size), lengths))
+    bounds = canonical_codes(lengths)[order] << (
+        max_len - lengths[order]
+    ).astype(np.uint64)
+    sorted_sym, sorted_len = symbols[order], lengths[order]
+    sizes = np.asarray(sizes).astype(np.int64)
+    if sizes.size != n_streams or int(sizes.sum()) != len(payload):
+        raise DecompressionError("H2 stream sizes disagree with payload")
+    width = int(sizes.max()) + 16
+    mat = np.zeros((n_streams, width), dtype=np.uint8)
+    raw = np.frombuffer(payload, dtype=np.uint8)
+    if raw.size:
+        row_idx = np.repeat(np.arange(n_streams), sizes)
+        offsets = np.cumsum(sizes) - sizes
+        col_idx = np.arange(raw.size, dtype=np.int64)
+        col_idx -= np.repeat(offsets, sizes)
+        mat[row_idx, col_idx] = raw
+    word_cols = width - 7
+    words = np.zeros((n_streams, word_cols), dtype=np.uint64)
+    for j in range(8):
+        words <<= np.uint64(8)
+        words |= mat[:, j : j + word_cols]
+    flat_words = words.ravel()
+    row_base = np.arange(n_streams, dtype=np.int64) * word_cols
+    need = np.uint64(64 - max_len)
+    mask = np.uint64((1 << max_len) - 1)
+    out = np.empty(n, dtype=np.int64)
+    cursors = np.zeros(n_streams, dtype=np.int64)
+    full_rounds, remainder = divmod(n, n_streams)
+    rounds = full_rounds + (1 if remainder else 0)
+    for r in range(rounds):
+        active = n_streams if r < full_rounds else remainder
+        cur = cursors[:active]
+        byte_idx = np.minimum(cur >> 3, word_cols - 1)
+        window = (
+            flat_words[row_base[:active] + byte_idx]
+            >> (need - (cur & 7).astype(np.uint64))
+        ) & mask
+        idx = np.searchsorted(bounds, window, side="right") - 1
+        out[r * n_streams : r * n_streams + active] = sorted_sym[idx]
+        cur += sorted_len[idx]
+    if (cursors > sizes * 8).any():
+        raise DecompressionError("Huffman stream exhausted before count")
+    return out
+
+
+def _oracle_decode(blob: bytes) -> np.ndarray:
+    """Decode one blob the way the single-blob decoder did."""
+    reader = BlobReader(blob)
+    meta = reader.read_json()
+    n = int(meta["n"])
+    dtype = np.dtype(str(meta.get("dt", "<i8")))
+    if n == 0:
+        return np.empty(0, dtype=dtype)
+    if meta.get("dense") is None:
+        symbols = reader.read_array().astype(np.int64)
+        lengths = reader.read_array().astype(np.int64)
+    else:
+        dense = reader.read_array().astype(np.int64)
+        present = np.nonzero(dense)[0]
+        symbols, lengths = present + int(meta["dense"]), dense[present]
+    if symbols.size == 1:
+        return np.full(n, symbols[0]).astype(dtype)
+    if int(meta.get("v", 1)) == 2:
+        sizes = reader.read_array()
+        out = _decode_streams(
+            reader.read_bytes(), sizes, n, int(meta["ns"]), symbols, lengths
+        )
+    else:
+        table = _DecodeTable(symbols, lengths)
+        out = _decode_stream(reader.read_bytes(), n, table)
+    return out.astype(dtype)
+
+
+@functools.lru_cache(maxsize=1)
+def _valid_blobs() -> tuple[bytes, ...]:
+    """Valid blobs of every kind to surround a blob under test."""
+    rng = np.random.default_rng(99)
+    return tuple(
+        HuffmanCodec.encode(rng.integers(-40, 40, n), streams=s)
+        for n, s in ((9000, None), (5000, 16), (300, None), (20000, 64))
+    )
+
+
+def _mid_batch(blob: bytes) -> np.ndarray:
+    """Decode ``blob`` in the middle of a batch of valid blobs; returns
+    its symbols once the others are checked against the oracle."""
+    valid = list(_valid_blobs())
+    out = decode_blobs(valid[:2] + [blob] + valid[2:])
+    for got, want in zip(out[:2] + out[3:], valid):
+        assert np.array_equal(got, _oracle_decode(want))
+    return out[2]
+
+
+def _assert_rejected(blob: bytes) -> None:
+    """``blob`` raises DecompressionError alone and in mid-batch."""
+    with pytest.raises(DecompressionError):
+        HuffmanCodec.decode(blob)
+    with pytest.raises(DecompressionError):
+        _mid_batch(blob)
+
+
 class TestH2RoundTrip:
     DTYPES = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16)
 
@@ -284,8 +405,7 @@ class TestH2Corruption:
             symbols, lengths, syms, version=2, n_streams=8,
             sizes=sizes, payload=payload[:-10],
         )
-        with pytest.raises(DecompressionError):
-            HuffmanCodec.decode(bad)
+        _assert_rejected(bad)
 
     def test_undersized_streams_raise_exhausted(self):
         # Sizes consistent with the (short) payload, but too few bits for n
@@ -303,8 +423,7 @@ class TestH2Corruption:
             symbols, lengths, syms, version=2, n_streams=8,
             sizes=cut, payload=short,
         )
-        with pytest.raises(DecompressionError):
-            HuffmanCodec.decode(bad)
+        _assert_rejected(bad)
 
     def test_bad_stream_count_raises(self):
         symbols, lengths = np.arange(4), np.array([2, 2, 2, 2])
@@ -318,8 +437,7 @@ class TestH2Corruption:
                 symbols, lengths, syms, version=2, n_streams=ns,
                 sizes=sizes, payload=payload,
             )
-            with pytest.raises(DecompressionError):
-                HuffmanCodec.decode(bad)
+            _assert_rejected(bad)
 
     def test_size_table_length_mismatch_raises(self):
         symbols, lengths = np.arange(4), np.array([2, 2, 2, 2])
@@ -332,16 +450,14 @@ class TestH2Corruption:
             symbols, lengths, syms, version=2, n_streams=8,
             sizes=sizes[:-1], payload=payload[: int(sizes[:-1].sum())],
         )
-        with pytest.raises(DecompressionError):
-            HuffmanCodec.decode(bad)
+        _assert_rejected(bad)
 
     def test_unsupported_version_raises(self):
         from repro.serde import BlobWriter
 
         writer = BlobWriter()
         writer.write_json({"n": 4, "dense": None, "dt": "<i8", "v": 9})
-        with pytest.raises(DecompressionError):
-            HuffmanCodec.decode(writer.getvalue())
+        _assert_rejected(writer.getvalue())
 
     def test_incomplete_codebook_raises(self):
         # Lengths [2, 2, 2] leave a Kraft hole; both paths must refuse.
@@ -350,16 +466,14 @@ class TestH2Corruption:
                 np.arange(3), np.array([2, 2, 2]), np.zeros(50, dtype=np.int64),
                 version=version, n_streams=ns,
             )
-            with pytest.raises(DecompressionError):
-                HuffmanCodec.decode(bad)
+            _assert_rejected(bad)
 
     def test_oversubscribed_codebook_raises(self):
         # Kraft surplus (overlapping spans) is corruption too.
         bad = _hand_rolled_blob(
             np.arange(3), np.array([1, 1, 1]), np.zeros(10, dtype=np.int64),
         )
-        with pytest.raises(DecompressionError):
-            HuffmanCodec.decode(bad)
+        _assert_rejected(bad)
 
 
 class TestDeepCodebookCap:
@@ -376,6 +490,7 @@ class TestDeepCodebookCap:
         blob = _hand_rolled_blob(symbols, lengths, syms, version=1)
         out = HuffmanCodec.decode(blob)
         assert np.array_equal(out, syms)
+        assert np.array_equal(_mid_batch(blob), syms)
 
     @pytest.mark.parametrize("depth", [20, 40, 57])
     def test_deep_h2_blob_decodes(self, depth):
@@ -387,6 +502,7 @@ class TestDeepCodebookCap:
         blob = _hand_rolled_blob(symbols, lengths, syms, version=2, n_streams=16)
         out = HuffmanCodec.decode(blob)
         assert np.array_equal(out, syms)
+        assert np.array_equal(_mid_batch(blob), syms)
 
     def test_over_budget_depth_rejected(self):
         symbols, lengths = _deep_codebook(58)
@@ -399,8 +515,136 @@ class TestDeepCodebookCap:
         writer.write_array(_compact_symbols(symbols))
         writer.write_array(lengths.astype(np.uint8))
         writer.write_bytes(b"\x00" * 80)
-        with pytest.raises(DecompressionError):
-            HuffmanCodec.decode(writer.getvalue())
+        _assert_rejected(writer.getvalue())
+
+
+#: One blob of a property-test batch: (symbols, seed, alphabet span,
+#: forced H2 stream count or None for auto, dense hint, dtype).  The
+#: sizes cover empty, one-symbol, v1-sized and H2-sized arrays.
+_BLOB_SPECS = st.tuples(
+    st.sampled_from([0, 1, 7, 300, 4095, 4096, 5000, 12000]),
+    st.integers(0, 2**16),
+    st.sampled_from([1, 2, 5, 60, 1000]),
+    st.one_of(st.none(), st.integers(2, 64)),
+    st.booleans(),
+    st.sampled_from(TestH2RoundTrip.DTYPES),
+)
+
+
+def _spec_blob(size, seed, span, streams, dense, dtype) -> bytes:
+    rng = np.random.default_rng(seed)
+    span = min(span, int(np.iinfo(dtype).max))
+    values = rng.integers(0, span, size)
+    values[rng.random(size) < 0.6] = 0  # skewed: one short code
+    hint = span + 1 if dense else None
+    return HuffmanCodec.encode(
+        values.astype(dtype), alphabet_hint=hint, streams=streams
+    )
+
+
+class TestBatchedDecode:
+    @given(st.lists(_BLOB_SPECS, min_size=1, max_size=8))
+    @settings(max_examples=40, deadline=None)
+    def test_batch_matches_oracle(self, specs):
+        blobs = [_spec_blob(*spec) for spec in specs]
+        for blob, got in zip(blobs, decode_blobs(blobs)):
+            want = _oracle_decode(blob)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    def test_empty_batch(self):
+        assert decode_blobs([]) == []
+
+    def test_rounds_are_the_longest_blob(self):
+        from repro.telemetry import recording
+
+        rng = np.random.default_rng(17)
+        arrays = [rng.integers(0, 30, n) for n in (5000, 9000, 20000)]
+        blobs = [HuffmanCodec.encode(a, streams=8) for a in arrays]
+        with recording() as rec:
+            out = decode_blobs(blobs)
+        snap = rec.snapshot()
+        for got, want in zip(out, arrays):
+            assert np.array_equal(got, want)
+        assert snap["timers"]["sz.huffman.decode"]["count"] == 1
+        counters = snap["counters"]
+        assert counters["sz.huffman.decode.rounds"] == 20000 // 8
+        assert counters["sz.huffman.decode.h2_blobs"] == 3
+        assert counters["sz.huffman.decode.streams"] == 24
+        assert counters["sz.huffman.decode.symbols"] == 34000
+
+
+def _rejected_within(blob: bytes, seconds: float = 1.0) -> str:
+    """Decode ``blob`` on a worker thread; ``"rejected"`` when it raised
+    DecompressionError within ``seconds``."""
+    outcome = ["timeout"]
+
+    def run():
+        try:
+            HuffmanCodec.decode(blob)
+            outcome[0] = "decoded"
+        except DecompressionError:
+            outcome[0] = "rejected"
+        except BaseException as exc:  # MemoryError and the like
+            outcome[0] = type(exc).__name__
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(seconds)
+    return outcome[0]
+
+
+def _claiming(n, symbols, lengths, payload: bytes, n_streams=None) -> bytes:
+    """A blob with a real codebook and payload whose header claims ``n``."""
+    writer = BlobWriter()
+    meta = {"n": n, "dense": None, "dt": "<i8"}
+    if n_streams is not None:
+        meta.update(v=2, ns=n_streams)
+    writer.write_json(meta)
+    writer.write_array(np.asarray(symbols, dtype=np.int8))
+    writer.write_array(np.asarray(lengths, dtype=np.uint8))
+    if n_streams is not None:
+        sizes = np.full(n_streams, len(payload) // n_streams, dtype=np.uint8)
+        writer.write_array(sizes)
+    writer.write_bytes(payload)
+    return writer.getvalue()
+
+
+#: Blobs whose symbol count no payload of theirs can carry: each must be
+#: rejected before anything is sized or looped by the count.
+HOSTILE_COUNTS = {
+    "single-symbol-3e8": _claiming(3 * 10**8, [5], [1], bytes(100)),
+    "single-symbol-1e12": _claiming(10**12, [5], [1], bytes(100)),
+    "h2-8-streams-3e8": _claiming(
+        3 * 10**8, [0, 1, 2, 3], [2, 2, 2, 2], bytes(160), n_streams=8
+    ),
+    "v1-3e8": _claiming(3 * 10**8, [0, 1, 2, 3], [2, 2, 2, 2], bytes(160)),
+    "negative": _claiming(-5, [0, 1], [1, 1], bytes(16)),
+}
+
+
+class TestHostileCounts:
+    @pytest.mark.parametrize("case", sorted(HOSTILE_COUNTS))
+    def test_rejected_within_a_second(self, case):
+        assert _rejected_within(HOSTILE_COUNTS[case]) == "rejected"
+
+    def test_rejected_mid_batch(self):
+        _assert_rejected(HOSTILE_COUNTS["h2-8-streams-3e8"])
+
+    def test_stream_count_beyond_its_own_bits(self):
+        # The payload as a whole could carry n symbols, but stream 0
+        # claims more than its own bytes can: 80 symbols in 8 bytes
+        # while stream 1 holds the spare bytes.
+        symbols, lengths = np.arange(4), np.array([2, 2, 2, 2])
+        writer = BlobWriter()
+        writer.write_json(
+            {"n": 160, "dense": None, "dt": "<i8", "v": 2, "ns": 2}
+        )
+        writer.write_array(symbols.astype(np.int8))
+        writer.write_array(lengths.astype(np.uint8))
+        writer.write_array(np.array([8, 40], dtype=np.uint8))
+        writer.write_bytes(bytes(48))
+        _assert_rejected(writer.getvalue())
 
 
 class TestCodebookCache:

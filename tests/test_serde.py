@@ -88,6 +88,10 @@ class TestBlobErrors:
         blob = w.getvalue()[:-4]
         with pytest.raises(DecompressionError, match="truncated"):
             BlobReader(blob).read_bytes()
+        # A length no blob can hold (it once escaped as OverflowError).
+        huge = blob[:1] + (2**63 + 5).to_bytes(8, "little") + blob[9:]
+        with pytest.raises(DecompressionError, match="truncated"):
+            BlobReader(huge).read_bytes()
 
     def test_array_length_mismatch_raises(self):
         w = BlobWriter()
