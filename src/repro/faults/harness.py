@@ -146,7 +146,8 @@ def run_chaos(
         Worker processes for the chaos run's executor (the pristine
         reference always runs serial — parallel output is byte-identical
         by the executor's ordering invariant, so the reference is valid
-        for both).
+        for both).  ``worker_fail`` faults need ``workers >= 2``: a
+        serial writer submits no worker jobs, so they never fire.
     keep_path:
         When given, the damaged archive bytes are also written here
         (used by CI to upload chaos artifacts).

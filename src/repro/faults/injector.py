@@ -193,6 +193,9 @@ class FaultyExecutor(ParallelExecutor):
     fails as a unit — the coarsest failure a real worker crash would
     produce anyway.
 
+    Worker faults need ``workers >= 2``: a serial writer encodes every
+    buffer in its own session and submits no jobs, so nothing fires.
+
     Parameters
     ----------
     specs:

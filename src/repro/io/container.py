@@ -122,6 +122,57 @@ _HEADER_CONFIG = (
 )
 
 
+def check_counts(
+    header: dict, chunk_axes: Iterable[int] = (), chunks: int | None = None
+) -> None:
+    """Reject header counts a reader would loop or allocate on.
+
+    Both generations run this before anything loops over the axes or
+    allocates an output: ``atoms`` and ``axes`` must be at least 1, and
+    ``error_bounds`` must hold one bound per axis.  The index must agree
+    with ``axes``: an intact ``MDZ2`` footer passes the axis of every
+    indexed chunk as ``chunk_axes``, and none may reach ``axes``; an
+    ``MDZ1`` index passes its offset count as ``chunks``, which must be
+    ``ceil(snapshots / buffer_size) * axes``.  Headers are untrusted
+    input: every violation raises :class:`ContainerFormatError` naming
+    the field.
+    """
+
+    def count(key, read=int):
+        try:
+            return read(header[key])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ContainerFormatError(
+                f"container header field {key!r} is missing or invalid: "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
+
+    atoms, axes = count("atoms"), count("axes")
+    if atoms < 1 or axes < 1:
+        raise ContainerFormatError(
+            f"header fields 'atoms' ({atoms}) and 'axes' ({axes}) must be "
+            ">= 1"
+        )
+    if count("error_bounds", len) != axes:
+        raise ContainerFormatError(
+            f"header field 'error_bounds' does not hold one bound per axis "
+            f"({axes} axes)"
+        )
+    if max(chunk_axes, default=-1) >= axes:
+        raise ContainerFormatError(
+            f"the index holds chunks of axes beyond header field 'axes' "
+            f"({axes})"
+        )
+    if chunks is not None:
+        snapshots, size = count("snapshots"), count("buffer_size")
+        if snapshots < 0 or size < 1 or chunks != -(-snapshots // size) * axes:
+            raise ContainerFormatError(
+                f"the index holds {chunks} offsets, which header fields "
+                f"'snapshots' ({snapshots}), 'buffer_size' ({size}) and "
+                f"'axes' ({axes}) contradict"
+            )
+
+
 def decode_sessions(header: dict) -> list[MDZAxisCompressor]:
     """One decode session per axis, rebuilt from a container header.
 
@@ -184,7 +235,13 @@ def decode_group(
     )
     for out, chunks in buffers:
         for a in range(len(chunks)):
-            out[:, :, a] = next(arrays)
+            array = next(arrays)
+            if array.shape != out.shape[:2]:
+                raise DecompressionError(
+                    f"a chunk decodes to shape {array.shape}; the header "
+                    f"says {out.shape[:2]} (rows, atoms)"
+                )
+            out[:, :, a] = array
         yield out
 
 
@@ -230,10 +287,15 @@ def _open_container(blob: bytes):
         raise ContainerFormatError(
             f"truncated or malformed container: {exc}"
         ) from exc
-    if int(index["total"]) != len(payload):
+    try:
+        total = int(index["total"])
+        offsets = [int(o) for o in index["offsets"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ContainerFormatError(f"malformed container index: {exc}") from exc
+    if total != len(payload):
         raise ContainerFormatError(
             f"payload length {len(payload)} does not match index total "
-            f"{index['total']}"
+            f"{total}"
         )
     expected_crc = index.get("crc32")
     if expected_crc is not None:
@@ -243,7 +305,8 @@ def _open_container(blob: bytes):
                 f"payload checksum mismatch (stored {expected_crc:#010x}, "
                 f"computed {actual:#010x}): the container is corrupted"
             )
-    return header, index, payload
+    check_counts(header, chunks=len(offsets))
+    return header, offsets, payload
 
 
 def _blob_at(payload: bytes, offsets: list[int], i: int) -> bytes:
@@ -258,13 +321,12 @@ def read_container(blob: bytes) -> np.ndarray:
         from ..stream.reader import StreamingReader
 
         return StreamingReader(blob).read_all()
-    header, index, payload = _open_container(blob)
+    header, offsets, payload = _open_container(blob)
     t_count = int(header["snapshots"])
     n_atoms = int(header["atoms"])
     n_axes = int(header["axes"])
     bs = int(header["buffer_size"])
     sessions = decode_sessions(header)
-    offsets = [int(o) for o in index["offsets"]]
     out = np.empty((t_count, n_atoms, n_axes), dtype=np.float64)
     buffers = (
         (out[t0 : t0 + bs], _chunks_at(payload, offsets, t0 // bs, n_axes))
@@ -347,9 +409,8 @@ def read_container_info(blob: bytes) -> ContainerInfo:
         from ..stream.reader import StreamingReader
 
         return StreamingReader(blob).container_info()
-    header, index, payload = _open_container(blob)
+    header, offsets, payload = _open_container(blob)
     n_axes = int(header["axes"])
-    offsets = [int(o) for o in index["offsets"]]
     return summarize(
         header,
         int(header["snapshots"]),
@@ -372,7 +433,7 @@ def read_container_batch(blob: bytes, batch_index: int) -> np.ndarray:
         from ..stream.reader import StreamingReader
 
         return StreamingReader(blob).read_buffer(batch_index)
-    header, index, payload = _open_container(blob)
+    header, offsets, payload = _open_container(blob)
     t_count = int(header["snapshots"])
     n_atoms = int(header["atoms"])
     n_axes = int(header["axes"])
@@ -383,7 +444,6 @@ def read_container_batch(blob: bytes, batch_index: int) -> np.ndarray:
             f"batch {batch_index} out of range (container has {n_batches})"
         )
     sessions = decode_sessions(header)
-    offsets = [int(o) for o in index["offsets"]]
     # Buffer 0 primes the session references, in the target's group.
     indices = [0, batch_index] if batch_index > 0 else [0]
     group = [
@@ -430,17 +490,12 @@ def verify_container(blob: bytes) -> dict:
         "errors": [],
     }
     try:
-        header, index, payload = _open_container(blob)
+        header, offsets, payload = _open_container(blob)
     except ContainerFormatError as exc:
         report["errors"].append(str(exc))
         return report
     report["header"] = True
-    try:
-        report["snapshots"] = int(header["snapshots"])
-        offsets = [int(o) for o in index["offsets"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        report["errors"].append(f"malformed header/index: {exc}")
-        return report
+    report["snapshots"] = int(header["snapshots"])
     report["chunks"] = len(offsets)
     previous = 0
     for i, off in enumerate(offsets):
@@ -451,12 +506,5 @@ def verify_container(blob: bytes) -> dict:
             )
             return report
         previous = off
-    n_axes = int(header.get("axes", 0) or 0)
-    if n_axes and len(offsets) % n_axes != 0:
-        report["errors"].append(
-            f"index holds {len(offsets)} blobs, not a multiple of "
-            f"{n_axes} axes"
-        )
-        return report
     report["intact"] = True
     return report

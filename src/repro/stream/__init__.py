@@ -14,14 +14,16 @@ come.  The legacy monolithic ``MDZ1`` format is only read.
 * :mod:`repro.stream.reader` — :class:`StreamingReader`, random-access
   and sequential decoding, with opt-in recovery of truncated files;
 * :mod:`repro.stream.executor` — :class:`ParallelExecutor`, a
-  ``multiprocessing`` pool with bounded backpressure and ordered
-  reassembly whose output is byte-identical to serial execution;
+  ``multiprocessing`` pool fed through shared memory, with bounded
+  backpressure and ordered reassembly whose output is byte-identical to
+  the writer's in-session encode;
 * :mod:`repro.stream.pipeline` — one-call helpers tying it together.
 
 Fault tolerance lives at three layers: the writer commits chunk frames
 atomically against a fence (rolled back and retried on ``OSError``),
-the executor retries failed worker jobs with capped backoff before
-degrading inline, and the reader's salvage mode skips damaged frames
+the executor retries failed worker jobs with capped backoff before it
+abandons the pool (queued jobs re-run inline, later buffers encode in
+session), and the reader's salvage mode skips damaged frames
 and accounts for exactly which snapshots were lost
 (:class:`~repro.stream.reader.SalvageReport`).  :mod:`repro.faults`
 exercises all of it deterministically.

@@ -13,40 +13,37 @@ byte-identical output.  :class:`ParallelExecutor` fans those jobs across a
 * **backpressure** — at most ``max_pending`` jobs are in flight; a full
   queue blocks the producer (the MD loop) instead of buffering an
   unbounded trajectory in memory;
-* **graceful degradation** — ``workers <= 1``, a pool that fails to
-  start, or a pool that dies mid-stream all fall back to inline serial
-  execution of the same job functions, which keeps the output bytes
-  unchanged.
+* **one fallback** — ``workers <= 1``, a pool that fails to start or
+  dies mid-stream, and shared memory that cannot be created all leave
+  the pool dead (:attr:`ParallelExecutor.parallel` is False), and the
+  writer then encodes in its own sessions.  Jobs already submitted are
+  re-run inline from their shared-memory segments, which the parent
+  keeps until ``close``/``terminate``.
 
-The transport is built to beat serial execution, not just match it:
+Shared memory is the only way a job reaches a worker:
 
 * **shared-memory payloads** — batch arrays travel through a ring of
   ``max_pending`` reusable :mod:`multiprocessing.shared_memory` slots
-  (:meth:`ParallelExecutor.acquire_slot`) instead of being pickled into
-  the job arguments, so the producer pays one memcpy per flush and the
-  worker reads the bytes in place;
-* **persistent worker sessions** — each :class:`AxisJobSpec` carries a
-  BLAKE2b digest of the frozen session state; workers cache the rebuilt
+  (:meth:`ParallelExecutor.acquire_slot`), so the producer pays one
+  memcpy per flush and the worker reads the bytes in place;
+* **persistent worker sessions** — each :class:`AxisJobSpec` names a
+  segment holding the pickled frozen session state (published once per
+  state digest, :meth:`ParallelExecutor.publish`) and carries its
+  BLAKE2b digest; workers cache the rebuilt
   :class:`~repro.core.mdz.MDZAxisCompressor` keyed by that digest
-  (``stream.executor.state_cache.hit``/``miss``), so the reference
-  snapshot and level fit cross the process boundary once per session,
-  not once per job.  A digest miss falls back to full-state shipping,
-  so correctness never depends on the cache;
+  (``stream.executor.state_cache.hit``/``miss``), so the state is
+  unpickled once per session per worker, not once per job;
 * **batched dispatch** — the writer submits one :class:`FlushJobSpec`
   per flush (all axes in a single :func:`encode_flush` call), one IPC
   round trip instead of one per axis.
 
-When shared memory is unavailable (or fails mid-stream) the executor
-degrades to pickled payloads, and from there to inline execution —
-every rung of the ladder produces the same bytes.
-
 Transient failures (a worker killed by the OS, an injected
 :class:`OSError`) are retried with capped exponential backoff
 (:func:`backoff_delay`) before the pool is abandoned: a failed pool job
-is resubmitted up to ``MAX_RETRIES`` times, and inline execution retries
-the call the same way, so a fault that clears (freed memory, returned
-scratch space) costs a delay instead of the stream.  Every retry and
-failure is counted/logged through :mod:`repro.telemetry`
+is resubmitted up to ``MAX_RETRIES`` times, and the inline re-run after
+an abandon retries the call the same way, so a fault that clears (freed
+memory, returned scratch space) costs a delay instead of the stream.
+Every retry and failure is counted/logged through :mod:`repro.telemetry`
 (``stream.executor.job_retries`` / ``job_failed``).
 """
 
@@ -58,22 +55,17 @@ import pickle
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass
+from multiprocessing import shared_memory
 
 import numpy as np
 
 from ..baselines.api import SessionMeta
-from ..cluster.level_detect import LevelFit
 from ..core.config import MDZConfig
 from ..core.mdz import MDZAxisCompressor
 from ..telemetry import get_recorder
 from ..telemetry.logging import get_logger
 
 _log = get_logger("stream.executor")
-
-try:  # pragma: no cover - present on every supported platform
-    from multiprocessing import shared_memory as _shm
-except ImportError:  # pragma: no cover
-    _shm = None
 
 _DONE = 0  # queue entry already holds its result
 _JOB = 1  # queue entry is an outstanding pool job
@@ -94,9 +86,9 @@ def backoff_delay(attempt: int, base: float, cap: float) -> float:
 
 # -- shared-memory plumbing ---------------------------------------------
 #
-# Segments created by this process are remembered here so that inline
-# fallback jobs and fork-started workers reuse the mapping instead of
-# re-attaching.
+# Segments created by this process are remembered here so that jobs
+# re-run inline after an abandon and fork-started workers reuse the
+# mapping instead of re-attaching.
 #
 # Workers share the parent's resource tracker under every start method:
 # spawn and forkserver children are handed its descriptor, and the pool
@@ -110,7 +102,7 @@ _LOCAL_SEGMENTS: dict[str, "object"] = {}
 
 
 def _create_segment(nbytes: int):
-    seg = _shm.SharedMemory(create=True, size=max(int(nbytes), 1))
+    seg = shared_memory.SharedMemory(create=True, size=max(int(nbytes), 1))
     _LOCAL_SEGMENTS[seg.name] = seg
     return seg
 
@@ -128,7 +120,7 @@ def _attach_segment(name: str):
     seg = _LOCAL_SEGMENTS.get(name)
     if seg is not None:
         return seg
-    seg = _shm.SharedMemory(name=name)
+    seg = shared_memory.SharedMemory(name=name)
     _LOCAL_SEGMENTS[name] = seg
     return seg
 
@@ -219,22 +211,14 @@ class _ShmSlot:
 class AxisJobSpec:
     """Everything a worker needs to encode one buffer of one axis.
 
-    The spec is the frozen session state exported by
-    :meth:`~repro.core.mdz.MDZAxisCompressor.export_session_state` plus
-    the session configuration.  ``reference`` is shipped only for
-    members whose registry entry sets ``needs_reference`` (MT,
-    bitadaptive), keeping per-job pickling cost low for the rest.
-
-    ``state_digest`` is the BLAKE2b digest of that frozen state: workers
-    cache the rebuilt session under it, so a spec whose digest the worker
-    has seen before costs no state transfer or session rebuild at all.
-    When the state *does* need to travel, ``state_shm`` names a
-    shared-memory segment holding the pickled ``(reference, level_fit)``
-    pair — published once per session by the writer — and the inline
-    ``reference``/``level_fit`` fields stay ``None``.  Specs carrying
-    the state inline (no segment) remain fully supported; that is the
-    fallback when shared memory is unavailable and the correctness
-    baseline the cache is checked against.
+    The session configuration plus the frozen session state exported by
+    :meth:`~repro.core.mdz.MDZAxisCompressor.export_session_state`:
+    ``state_shm`` names the shared-memory segment holding the pickled
+    ``(reference, level_fit)`` pair — published once per digest by the
+    writer — and ``state_digest`` is its BLAKE2b digest.  Workers cache
+    the rebuilt session under the digest, so a spec whose digest the
+    worker has seen before costs no state transfer or session rebuild
+    at all.
 
     ``trace`` and ``telemetry`` carry the observability context across
     the process boundary: ``trace`` is a span-context token from
@@ -253,13 +237,11 @@ class AxisJobSpec:
     sequence_mode: str
     lossless_backend: str
     level_seed: int
-    reference: np.ndarray | None
-    level_fit: LevelFit | None
     state_digest: str
+    state_shm: tuple  # (name, nbytes) of the pickled state
     entropy_streams: int | None = None
     trace: tuple | None = None
     telemetry: bool = False
-    state_shm: tuple | None = None  # (name, nbytes) of pickled state
 
 
 @dataclass(frozen=True)
@@ -268,12 +250,11 @@ class FlushJobSpec:
 
     Dispatching the flush as a unit means one IPC round trip (one
     ``apply_async``, one result pickle) carries every axis instead of
-    one per axis.  ``shm`` names the shared-memory payload segment
-    holding the stacked ``(axes, B, N)`` batch — ``None`` when the
-    payload travels pickled (shared memory unavailable)."""
+    one per axis.  ``shm`` names the shared-memory payload slot holding
+    the stacked ``(axes, B, N)`` batch."""
 
     jobs: tuple[AxisJobSpec, ...]
-    shm: tuple | None = None  # (name, shape, dtype) of the stacked payload
+    shm: tuple  # (name, shape, dtype) of the stacked payload
 
 
 # -- worker-side session cache ------------------------------------------
@@ -306,10 +287,7 @@ def _build_session(spec: AxisJobSpec) -> MDZAxisCompressor:
     )
     session = MDZAxisCompressor(config)
     session.begin(spec.error_bound, SessionMeta(n_atoms=spec.n_atoms))
-    reference, level_fit = spec.reference, spec.level_fit
-    if spec.state_shm is not None:
-        reference, level_fit = pickle.loads(shared_bytes(spec.state_shm))
-    session.seed_session(reference, level_fit)
+    session.seed_session(*pickle.loads(shared_bytes(spec.state_shm)))
     return session
 
 
@@ -340,14 +318,14 @@ def _encode(spec: AxisJobSpec, batch: np.ndarray) -> bytes:
 def encode_axis_buffer(spec: AxisJobSpec, batch: np.ndarray):
     """Encode one (B, N) buffer from a frozen state snapshot.
 
-    Runs in worker processes (and inline in serial mode).  With no
-    observability context on the spec, returns the compressed bytes.
-    With ``spec.trace``/``spec.telemetry`` set, the job runs under its
-    own process-local recorder — a worker cannot mutate the session's
-    recorder across the process boundary — and returns
-    ``(blob, snapshot)``; traced jobs open a root span whose parent is
-    the session-side span that dispatched them, so the merged trace
-    nests worker work under the flush that produced it.
+    Runs in worker processes (and inline when an abandoned pool's jobs
+    are re-run).  With no observability context on the spec, returns the
+    compressed bytes.  With ``spec.trace``/``spec.telemetry`` set, the
+    job runs under its own process-local recorder — a worker cannot
+    mutate the session's recorder across the process boundary — and
+    returns ``(blob, snapshot)``; traced jobs open a root span whose
+    parent is the session-side span that dispatched them, so the merged
+    trace nests worker work under the flush that produced it.
     """
     if spec.trace is None and not spec.telemetry:
         return _encode(spec, batch)
@@ -356,7 +334,7 @@ def encode_axis_buffer(spec: AxisJobSpec, batch: np.ndarray):
 
     recorder = TracingRecorder() if spec.trace is not None else MetricsRecorder()
     # Install through the context-local slot, not the process-global one:
-    # inline fallback jobs may run on several threads at once (the HTTP
+    # jobs re-run inline may run on several threads at once (the HTTP
     # service feeds tenants from a thread pool), and a global set/restore
     # pair interleaved across threads can resurrect another job's
     # recorder as the "previous" value.  The ContextVar scope is private
@@ -373,19 +351,17 @@ def encode_axis_buffer(spec: AxisJobSpec, batch: np.ndarray):
     return blob, recorder.snapshot()
 
 
-def encode_flush(flush: FlushJobSpec, batches):
+def encode_flush(flush: FlushJobSpec):
     """Encode every axis job of one flush in a single call.
 
-    ``batches`` is the stacked ``(axes, B, N)`` payload — ``None`` when
-    it travels through the shared-memory slot named by ``flush.shm``,
-    in which case the worker reads the slot in place (the executor does
-    not recycle a slot until its job resolves, and no method retains a
-    view of the batch past the encode).  Returns the per-axis results
-    in job order; each is whatever :func:`encode_axis_buffer` returns
-    (bytes, or ``(blob, snapshot)`` with observability enabled).
+    The stacked ``(axes, B, N)`` batch is read in place from the
+    shared-memory slot named by ``flush.shm`` (the executor does not
+    recycle a slot until its job resolves, and no method retains a view
+    of the batch past the encode).  Returns the per-axis results in job
+    order; each is whatever :func:`encode_axis_buffer` returns (bytes,
+    or ``(blob, snapshot)`` with observability enabled).
     """
-    if batches is None:
-        batches = shared_array(flush.shm)
+    batches = shared_array(flush.shm)
     return [
         encode_axis_buffer(spec, batches[i])
         for i, spec in enumerate(flush.jobs)
@@ -398,8 +374,8 @@ class ParallelExecutor:
     Parameters
     ----------
     workers:
-        Worker process count (``>= 0``).  ``<= 1`` selects inline serial
-        execution (no pool, no pickling).
+        Worker process count (``>= 0``).  ``<= 1`` starts no pool:
+        :attr:`parallel` is False and :meth:`submit` runs jobs inline.
     max_pending:
         Bound on in-flight pool jobs and shared-memory payload slots
         (backpressure).  Must be ``>= 1`` when given; defaults to
@@ -444,7 +420,6 @@ class ParallelExecutor:
         self._pool = None
         self._broken = False
         self._ring: _ShmRing | None = None
-        self._shm_broken = _shm is None
         self._published: list = []  # session-lifetime state segments
         # FIFO of [kind, value_or_handle, fn, args, slot]; popped only
         # from the left, which is what guarantees ordered reassembly.
@@ -474,7 +449,7 @@ class ParallelExecutor:
                     "stream.executor.pool_start_failed", repr(exc)
                 )
                 _log.warning(
-                    "worker pool failed to start; encoding inline",
+                    "worker pool failed to start; encoding in session",
                     exc_info=exc,
                 )
                 self._abandon_pool()
@@ -484,7 +459,8 @@ class ParallelExecutor:
 
         Handles of a terminated pool never complete, so leaving ``_JOB``
         entries in the queue would hang the next ``drain()``.  The jobs
-        are deterministic, so recomputing them preserves the output.
+        are deterministic, so recomputing them preserves the output; they
+        read their payload and state from segments this process owns.
         Payload slots are released as their jobs re-run; the ring itself
         is unlinked only once idle (a producer caught mid-backpressure
         may still hold a packed, not-yet-submitted slot) — otherwise it
@@ -509,7 +485,7 @@ class ParallelExecutor:
                 _log.error("worker pool teardown failed", exc_info=exc)
         if pool is not None:
             _log.warning(
-                "worker pool abandoned; remaining jobs run inline"
+                "worker pool abandoned; queued jobs re-run inline"
             )
         rerun = 0
         for entry in self._queue:
@@ -561,20 +537,17 @@ class ParallelExecutor:
     # -- shared-memory transport ----------------------------------------
 
     def acquire_slot(self, nbytes: int) -> _ShmSlot | None:
-        """An ``nbytes``-capable payload slot, or ``None`` to fall back
-        to pickled payloads (serial mode, dead pool, or shared memory
-        unavailable).
+        """An ``nbytes``-capable payload slot, or ``None`` when no live
+        pool will take the job (serial mode, dead pool, or shared memory
+        that cannot be created) — the caller then encodes in session.
 
         Blocks — resolving the oldest in-flight job, exactly like
         ``submit``'s backpressure — while all ``max_pending`` slots are
         held, so the ring bound and the job bound are the same knob.
         The caller must pass the returned slot to :meth:`submit`, which
-        releases it when the job resolves (including every degraded
-        path: abandon-sweep rerun and inline fallback).
+        releases it when the job resolves (including the abandon-sweep
+        rerun).
         """
-        recorder = get_recorder()
-        if not self.parallel or self._shm_broken:
-            return None
         self._ensure_pool()
         if not self.parallel:
             return None
@@ -584,10 +557,7 @@ class ParallelExecutor:
             try:
                 got = self._ring.try_acquire(nbytes)
             except OSError as exc:
-                recorder.event(
-                    "stream.executor.shm_unavailable", repr(exc)
-                )
-                self._shm_broken = True
+                self._shm_unavailable(repr(exc))
                 return None
             if got is not None:
                 index, segment = got
@@ -595,12 +565,9 @@ class ParallelExecutor:
             if self._inflight() == 0:
                 # Every slot held but nothing in flight to free one — a
                 # slot leaked (a failure between acquire and submit).
-                # Fall back to the pickled path rather than spin.
-                recorder.event(
-                    "stream.executor.shm_unavailable", "ring exhausted"
-                )
+                self._shm_unavailable("ring exhausted")
                 return None
-            recorder.count("stream.executor.backpressure_waits")
+            get_recorder().count("stream.executor.backpressure_waits")
             self._resolve_oldest_job()
             if not self.parallel:
                 return None
@@ -612,26 +579,28 @@ class ParallelExecutor:
         per (session, digest) instead of once per job.  The segment is
         owned by the executor and unlinked at ``close``/``terminate``.
         Returns the ``(name, nbytes)`` descriptor for
-        :func:`shared_bytes`, or ``None`` when jobs will not cross a
-        process boundary (the spec should then carry the state inline).
+        :func:`shared_bytes`, or ``None`` when no live pool will take
+        jobs (the caller then encodes in session).
         """
-        if not self.parallel or self._shm_broken:
-            return None
         self._ensure_pool()
         if not self.parallel:
             return None
         try:
             seg = _create_segment(len(payload))
         except OSError as exc:
-            get_recorder().event(
-                "stream.executor.shm_unavailable", repr(exc)
-            )
-            self._shm_broken = True
+            self._shm_unavailable(repr(exc))
             return None
         seg.buf[: len(payload)] = payload
         self._published.append(seg)
         get_recorder().count("stream.executor.shm_bytes", len(payload))
         return (seg.name, len(payload))
+
+    def _shm_unavailable(self, reason: str) -> None:
+        """Shared memory failed: without it no job can reach a worker,
+        so the pool is abandoned (jobs already submitted re-run inline
+        from their segments)."""
+        get_recorder().event("stream.executor.shm_unavailable", reason)
+        self._abandon_pool()
 
     # -- submission -----------------------------------------------------
 
@@ -651,10 +620,6 @@ class ParallelExecutor:
         ``slot`` is the payload slot the arguments reference, released
         when the job resolves (on every path, including degradation)."""
         recorder = get_recorder()
-        if not self.parallel:
-            recorder.count("stream.executor.inline")
-            self._finish_inline(fn, args, slot)
-            return
         self._ensure_pool()
         if not self.parallel:
             recorder.count("stream.executor.inline")

@@ -41,6 +41,7 @@ import numpy as np
 from ..exceptions import ContainerFormatError
 from ..io.container import (
     ContainerInfo,
+    check_counts,
     decode_buffers,
     decode_group,
     decode_sessions,
@@ -154,7 +155,9 @@ class StreamingReader:
     ------
     ContainerFormatError
         For empty input, a bad magic, a damaged header, a header missing
-        required fields, or (strict mode) a missing footer.  When
+        required fields or with counts the index contradicts (see
+        :func:`repro.io.container.check_counts`), or (strict mode) a
+        missing footer.  When
         ``source`` is a path, the message names it.
     OSError
         When the path cannot be read.
@@ -200,6 +203,15 @@ class StreamingReader:
                     f"stream header is missing required fields: {exc}"
                 )
             ) from exc
+        try:
+            check_counts(
+                header,
+                (c.axis for c in self._layout.chunks)
+                if self._layout.complete
+                else (),
+            )
+        except ContainerFormatError as exc:
+            raise self._named(exc) from exc
         self._chunk_map: dict[tuple[int, int], fmt.ChunkEntry] = {}
         for entry in self._layout.chunks:
             self._chunk_map[(entry.buffer_index, entry.axis)] = entry

@@ -18,13 +18,17 @@ so decompression is exact with respect to them regardless of later drift
 — drifting values simply fall into the quantizer's out-of-scope side
 channel.
 
-Compression jobs are distributed through a
-:class:`~repro.stream.executor.ParallelExecutor`: the first buffer and
-ADP trial buffers run in-session (they establish or update cross-buffer
-state), everything else is dispatched as one batched job per flush —
-the batch crosses the process boundary through a shared-memory slot and
-workers reuse cached sessions keyed by a state digest — and is
-byte-identical to serial execution by construction.
+Each buffer is encoded by its own per-axis session unless a live worker
+pool takes it.  With ``workers >= 2`` a
+:class:`~repro.stream.executor.ParallelExecutor` pool receives every
+non-trial buffer as one batched job per flush — the batch crosses the
+process boundary through a shared-memory slot and workers reuse cached
+sessions keyed by a state digest — and is byte-identical to the
+in-session encode by construction.  The first buffer and ADP trial
+buffers (they establish or update cross-buffer state) always run in
+session, and so does every buffer of a serial writer, of a pool that
+failed to start or was abandoned, and of a flush whose shared memory
+cannot be created.
 
 Crash safety: chunk frames are committed atomically against a *fence* —
 the end of the last fully written frame.  A chunk write that fails with
@@ -198,9 +202,8 @@ class StreamingWriter:
         # Sampled round-trip auditing; deterministic by buffer index so
         # serial and parallel runs audit identical chunks.
         self.auditor = QualityAuditor(self.config.audit_interval)
-        # Shared-memory handles of published session state, per digest
-        # (None = publish declined; the spec then carries state inline).
-        self._state_handles: dict[str, tuple | None] = {}
+        # Shared-memory handles of published session state, per digest.
+        self._state_handles: dict[str, tuple] = {}
         self._buffer: list[np.ndarray] = []
         self._pending: deque[_PendingChunk] = deque()
         self._chunks: list[fmt.ChunkEntry] = []
@@ -399,44 +402,36 @@ class StreamingWriter:
         with recorder.span("stream.flush", buffer=self._buffer_index):
             # One contiguous (axes, B, N) block: per-axis contiguous
             # views for the in-session path, and the ready-to-ship
-            # payload for dispatched axes (copied once into a
-            # shared-memory slot, or pickled whole as the fallback).
+            # payload for pool axes (copied once into a shared-memory
+            # slot).
             axes_block = np.ascontiguousarray(np.moveaxis(batch, 2, 0))
             dispatch: list[tuple[int, AxisJobSpec]] = []
             for a in range(batch.shape[2]):
                 session = self._sessions[a]
-                axis_batch = axes_block[a]
                 # Sampled buffers keep a copy of their original values
                 # until the encoded chunk lands (see _collect); the stash
                 # is the only extra memory auditing costs.
-                self.auditor.stash(self._buffer_index, a, axis_batch)
+                self.auditor.stash(self._buffer_index, a, axes_block[a])
+                # The first buffer and ADP trials (no pending method)
+                # establish or update cross-buffer state, so they run in
+                # session; so does every axis no live pool will take.
                 method = session.pending_method()
-                if method is None:
-                    # First buffer or ADP trial: must run in-session, where
-                    # it establishes the reference/level model or re-picks
-                    # the method for the following buffers.  Flush any
-                    # dispatchable axes accumulated so far first, so the
-                    # executor queue stays aligned with self._pending.
-                    self._dispatch(dispatch, axes_block)
-                    with recorder.span(
-                        "stream.encode.axis",
-                        axis=a,
-                        buffer=self._buffer_index,
-                        mode="session",
-                    ):
-                        blob = session.compress_batch(axis_batch)
-                    self._executor.push(blob)
+                spec = None
+                if method is not None and self._executor.parallel:
+                    spec = self._job_spec(a, session, method, recorder)
+                if spec is not None:
+                    dispatch.append((a, spec))
                 else:
-                    dispatch.append(
-                        (a, self._job_spec(a, session, method, recorder))
-                    )
-                    session.note_external_buffer()
+                    # Axes gathered for the pool go first, so the
+                    # executor queue stays aligned with self._pending.
+                    self._dispatch(dispatch, axes_block, recorder)
+                    self._encode_in_session(a, axes_block[a], recorder)
                 self._pending.append(
                     _PendingChunk(
                         buffer_index=self._buffer_index, axis=a, rows=rows
                     )
                 )
-            self._dispatch(dispatch, axes_block)
+            self._dispatch(dispatch, axes_block, recorder)
         self._buffer_index += 1
         self.stats.buffers += 1
         self._collect(block=False)
@@ -445,26 +440,39 @@ class StreamingWriter:
         if recorder.enabled:
             recorder.observe("stream.flush", elapsed)
 
+    def _encode_in_session(
+        self, axis: int, axis_batch: np.ndarray, recorder
+    ) -> None:
+        """Encode one axis buffer with its own session and queue the blob."""
+        with recorder.span(
+            "stream.encode.axis",
+            axis=axis,
+            buffer=self._buffer_index,
+            mode="session",
+        ):
+            blob = self._sessions[axis].compress_batch(axis_batch)
+        self._executor.push(blob)
+
     def _job_spec(
         self, axis: int, session: MDZAxisCompressor, method: str, recorder
-    ) -> AxisJobSpec:
-        """Build the out-of-session job spec for one axis.
+    ) -> AxisJobSpec | None:
+        """The pool job spec for one axis, or ``None`` when its state
+        cannot be published (the axis is then encoded in session).
 
-        The frozen session state travels by the cheapest available
-        route: it is pickled and published to a shared-memory segment
-        once per state digest (workers cache the rebuilt session under
-        the digest, so most jobs transfer nothing at all); when
-        publishing is declined — serial mode, shared memory unavailable
-        — the spec carries the state inline exactly as before.
+        The frozen session state is pickled and published to a
+        shared-memory segment once per state digest; workers cache the
+        rebuilt session under the digest, so most jobs transfer nothing
+        at all.
         """
         reference, level_fit, digest = session.export_session_state(method)
-        if digest not in self._state_handles:
-            self._state_handles[digest] = self._executor.publish(
-                pickle.dumps(
-                    (reference, level_fit), pickle.HIGHEST_PROTOCOL
-                )
+        handle = self._state_handles.get(digest)
+        if handle is None:
+            handle = self._executor.publish(
+                pickle.dumps((reference, level_fit), pickle.HIGHEST_PROTOCOL)
             )
-        handle = self._state_handles[digest]
+            if handle is None:
+                return None
+            self._state_handles[digest] = handle
         return AxisJobSpec(
             method=method,
             error_bound=session.error_bound,
@@ -473,11 +481,8 @@ class StreamingWriter:
             sequence_mode=self.config.sequence_mode,
             lossless_backend=self.config.lossless_backend,
             level_seed=self.config.level_seed,
-            # State ships through the published segment when available;
-            # the reference is None unless the method's registry entry
-            # needs it (export_session_state already applies that rule).
-            reference=None if handle is not None else reference,
-            level_fit=None if handle is not None else level_fit,
+            state_digest=digest,
+            state_shm=handle,
             entropy_streams=self.config.entropy_streams,
             # Span token: the worker's root span re-parents under this
             # flush (None on non-tracing recorders).
@@ -485,21 +490,23 @@ class StreamingWriter:
                 axis=axis, buffer=self._buffer_index, mode="worker"
             ),
             telemetry=recorder.enabled,
-            state_digest=digest,
-            state_shm=handle,
         )
 
     def _dispatch(
-        self, dispatch: list[tuple[int, AxisJobSpec]], axes_block: np.ndarray
+        self,
+        dispatch: list[tuple[int, AxisJobSpec]],
+        axes_block: np.ndarray,
+        recorder,
     ) -> None:
-        """Submit accumulated axis jobs as one batched flush job.
+        """Hand accumulated axis jobs to the pool as one flush job.
 
-        One :class:`FlushJobSpec` carries every dispatched axis of the
-        flush — a single IPC round trip.  The payload travels through a
-        shared-memory ring slot when the executor can provide one
-        (``stream.executor.shm_bytes`` counts the copied bytes); the
-        fallback ships the stacked array pickled, and serial mode runs
-        the same job inline.  ``dispatch`` is consumed.
+        One :class:`FlushJobSpec` carries every gathered axis of the
+        flush — a single IPC round trip — and its payload travels
+        through a shared-memory ring slot (``stream.executor.shm_bytes``
+        counts the copied bytes).  Each session's ADP counter advances
+        only once its buffer is submitted.  When no slot is available
+        (the pool died, or shared memory failed), the axes are encoded
+        in session, in axis order.  ``dispatch`` is consumed.
         """
         if not dispatch:
             return
@@ -511,19 +518,15 @@ class StreamingWriter:
         else:
             payload = np.ascontiguousarray(axes_block[axes])
         slot = self._executor.acquire_slot(payload.nbytes)
-        if slot is not None:
-            desc = slot.pack(payload)
-            get_recorder().count(
-                "stream.executor.shm_bytes", payload.nbytes
-            )
-            self._executor.submit(
-                encode_flush, FlushJobSpec(jobs=jobs, shm=desc), None,
-                slot=slot,
-            )
-        else:
-            self._executor.submit(
-                encode_flush, FlushJobSpec(jobs=jobs), payload
-            )
+        if slot is None:
+            for a in axes:
+                self._encode_in_session(a, axes_block[a], recorder)
+            return
+        flush = FlushJobSpec(jobs=jobs, shm=slot.pack(payload))
+        recorder.count("stream.executor.shm_bytes", payload.nbytes)
+        self._executor.submit(encode_flush, flush, slot=slot)
+        for a in axes:
+            self._sessions[a].note_external_buffer()
 
     def _collect(self, block: bool) -> None:
         """Append chunk frames for every completed compression job."""

@@ -63,10 +63,10 @@ _SPAN_STACK: contextvars.ContextVar[tuple] = contextvars.ContextVar(
 #: Process-wide span id sequence, shared by every recorder instance.  Ids
 #: are ``{pid:x}-{n}``: the pid disambiguates across processes (a forked
 #: worker inherits the counter position but not the pid), the shared
-#: counter disambiguates across recorder *instances* in one process — the
-#: executor's inline-fallback path builds a fresh worker recorder in the
-#: session process, and per-instance counters would make its span ids
-#: collide with the session's after the sideband merge.
+#: counter disambiguates across recorder *instances* in one process — a
+#: job re-run inline after its pool is abandoned builds a fresh worker
+#: recorder in the session process, and per-instance counters would make
+#: its span ids collide with the session's after the sideband merge.
 _ID_COUNTER = itertools.count(1)
 
 

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import json
-import struct
-import zlib
+import io
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +10,9 @@ import pytest
 
 from repro.core.config import MDZConfig
 from repro.core.mdz import MDZ
+from repro.serde import BlobReader, BlobWriter
+from repro.stream import format as fmt
+from repro.stream import parse_stream
 
 #: Legacy MDZ1 archives, written before MDZ1 became read-only
 #: (``tools/legacy_digests.py`` pins their digests).
@@ -86,19 +87,65 @@ FORGED_HEADERS = {
 
 
 def _rewrite_mdz2_header(blob: bytes, edit) -> bytes:
-    """``blob`` with its MDZ2 header JSON edited in place.
+    """``blob`` with its MDZ2 header JSON edited.
 
-    The new JSON is space-padded to the old length and its CRC
-    recomputed, so every chunk offset in the footer stays valid and only
-    the header's content is hostile.
+    The frames are re-emitted behind the new header and the footer
+    re-indexed, so every CRC and offset is valid and only the header's
+    content is hostile.
     """
-    (length,) = struct.unpack_from("<I", blob, 8)  # after b"MDZ2" b"HDR2"
-    header = json.loads(blob[12 : 12 + length])
+    layout = parse_stream(blob)
+    header = dict(layout.header)
     edit(header)
-    body = json.dumps(header, separators=(",", ":")).encode().ljust(length)
-    assert len(body) == length, "a forged header must not grow"
-    crc = struct.pack("<I", zlib.crc32(body))
-    return blob[:12] + body + crc + blob[16 + length :]
+    out = io.BytesIO()
+    offset = fmt.write_magic(out) + fmt.write_header(out, header)
+    chunks, rolling = [], 0
+    for chunk in layout.chunks:
+        entry, written = fmt.write_chunk(
+            out,
+            chunk.buffer_index,
+            chunk.axis,
+            chunk.rows,
+            fmt.chunk_payload(blob, chunk),
+            offset,
+            rolling,
+        )
+        chunks.append(entry)
+        offset += written
+        rolling = entry.rolling
+    fmt.write_footer(out, chunks, layout.snapshots, offset)
+    return out.getvalue()
+
+
+def _rewrite_mdz1_header(blob: bytes, edit) -> bytes:
+    """``blob`` (MDZ1) with its header JSON edited; index and payload
+    are kept, so the payload CRC still holds."""
+    reader = BlobReader(blob)
+    magic, header = reader.read_bytes(), reader.read_json()
+    index, payload = reader.read_json(), reader.read_bytes()
+    edit(header)
+    writer = BlobWriter()
+    writer.write_bytes(magic)
+    writer.write_json(header)
+    writer.write_json(index)
+    writer.write_bytes(payload)
+    return writer.getvalue()
+
+
+#: Hostile header counts, keyed by case: no or negative axes or atoms,
+#: more atoms than the chunks hold, and bounds or an index that disagree
+#: with ``axes``.
+HOSTILE_COUNTS = {
+    "axes-0": lambda h: h.update(axes=0),
+    "axes-negative": lambda h: h.update(axes=-2),
+    "axes-short": lambda h: h.update(axes=2),
+    "axes-short-index": lambda h: h.update(
+        axes=2, error_bounds=h["error_bounds"][:2]
+    ),
+    "atoms-negative": lambda h: h.update(atoms=-4),
+    "atoms-0": lambda h: h.update(atoms=0),
+    "atoms-extra": lambda h: h.update(atoms=h["atoms"] + 1),
+    "bounds-short": lambda h: h.update(error_bounds=h["error_bounds"][:1]),
+}
 
 
 @pytest.fixture
@@ -111,3 +158,19 @@ def forged_headers(trajectory) -> dict[str, tuple[str, bytes]]:
         case: (field, _rewrite_mdz2_header(blob, edit))
         for case, (field, edit) in FORGED_HEADERS.items()
     }
+
+
+@pytest.fixture
+def hostile_counts(mdz1_archive) -> dict[tuple[str, str], bytes]:
+    """``{(generation, case): archive}`` for every :data:`HOSTILE_COUNTS`
+    case: a 20 x 40 x 3 MDZ2 archive (buffer size 5) and the legacy
+    MDZ1 fixture, each with one hostile header count."""
+    rng = np.random.default_rng(8)
+    levels = rng.integers(0, 6, (40, 3)) * 1.5
+    traj = levels[None] + rng.normal(0.0, 0.02, (20, 40, 3))
+    mdz2 = MDZ(MDZConfig(buffer_size=5)).compress(traj)
+    cases = {}
+    for case, edit in HOSTILE_COUNTS.items():
+        cases["MDZ2", case] = _rewrite_mdz2_header(mdz2, edit)
+        cases["MDZ1", case] = _rewrite_mdz1_header(mdz1_archive, edit)
+    return cases

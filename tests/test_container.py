@@ -1,12 +1,18 @@
 """Tests for the .mdz container format and the MDZ front end."""
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro.cli import main
 from repro.core.config import MDZConfig
 from repro.core.mdz import MDZ
-from repro.exceptions import CompressionError, ContainerFormatError
+from repro.exceptions import (
+    CompressionError,
+    ContainerFormatError,
+    DecompressionError,
+)
 from repro.io.container import (
     container_version,
     read_container,
@@ -14,8 +20,9 @@ from repro.io.container import (
     verify_container,
     write_container,
 )
-from repro.serde import BlobReader, BlobWriter
 from repro.stream import StreamingReader, parse_stream
+
+from .conftest import HOSTILE_COUNTS, _rewrite_mdz1_header
 
 
 class TestContainerRoundTrip:
@@ -115,20 +122,69 @@ class TestForgedHeaders:
                 reader.read_buffer(1)
 
     def test_mdz1_missing_scale(self, mdz1_archive):
-        reader = BlobReader(mdz1_archive)
-        magic, header = reader.read_bytes(), reader.read_json()
-        index, payload = reader.read_json(), reader.read_bytes()
-        del header["scale"]
-        writer = BlobWriter()
-        writer.write_bytes(magic)
-        writer.write_json(header)
-        writer.write_json(index)
-        writer.write_bytes(payload)
-        forged = writer.getvalue()
+        forged = _rewrite_mdz1_header(mdz1_archive, lambda h: h.pop("scale"))
         with pytest.raises(ContainerFormatError, match="'scale'"):
             MDZ().decompress(forged)
         with pytest.raises(ContainerFormatError, match="'scale'"):
             read_container_batch(forged, 0)
+
+
+def _raises_within(read, expected, seconds=1.0):
+    """Run ``read`` on a daemon thread; it must raise ``expected``
+    before ``seconds`` pass."""
+    outcome = []
+
+    def target():
+        try:
+            read()
+        except Exception as exc:  # noqa: BLE001 - checked below
+            outcome.append(exc)
+        else:
+            outcome.append(None)
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"still reading after {seconds} s"
+    [exc] = outcome
+    assert isinstance(exc, expected), exc
+
+
+class TestHostileCounts:
+    """Header counts a reader would loop or allocate on — no axes, no or
+    negative atoms, bounds or an index that disagree with ``axes`` —
+    raise ``ContainerFormatError`` within 1 s through every reader of
+    both generations.  More atoms than the chunks hold passes the header
+    check and fails on the reconstructed chunk's shape."""
+
+    @staticmethod
+    def _expected(case):
+        if case == "atoms-extra":
+            return DecompressionError
+        return ContainerFormatError
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_COUNTS))
+    def test_mdz2(self, hostile_counts, case):
+        blob, expected = hostile_counts["MDZ2", case], self._expected(case)
+        _raises_within(lambda: read_container(blob), expected)
+        _raises_within(lambda: read_container_batch(blob, 1), expected)
+        _raises_within(
+            lambda: StreamingReader(blob, recover=True).read_all(), expected
+        )
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_COUNTS))
+    def test_mdz1(self, hostile_counts, case):
+        blob, expected = hostile_counts["MDZ1", case], self._expected(case)
+        _raises_within(lambda: read_container(blob), expected)
+        _raises_within(lambda: read_container_batch(blob, 1), expected)
+
+    def test_index_must_agree_with_axes(self, hostile_counts):
+        """Two axes with two bounds pass the header fields, but the index
+        of a three-axis archive contradicts them."""
+        for generation in ("MDZ1", "MDZ2"):
+            blob = hostile_counts[generation, "axes-short-index"]
+            with pytest.raises(ContainerFormatError, match="index"):
+                read_container(blob)
 
 
 class TestMDZFrontEnd:

@@ -1,7 +1,8 @@
 """Chaos tests: deterministic fault injection against the MDZ2 pipeline.
 
 The matrix parametrizes (fault kind x serial/parallel x chunk-boundary
-offset) and asserts the no-silent-loss invariant for every cell: a run
+offset; worker faults run parallel only, since a serial writer submits
+no worker jobs) and asserts the no-silent-loss invariant for every cell: a run
 ends in either a byte-exact archive or a salvage report accounting for
 all snapshots, with every salvaged snapshot byte-identical to the
 pristine decode.  Chunk-boundary offsets are computed from a pristine
@@ -169,7 +170,7 @@ def test_posthoc_fault_matrix(
         assert result.lost_snapshots, "corruption must cost something"
 
 
-@pytest.mark.parametrize("workers", [0, 2], ids=["serial", "parallel"])
+@pytest.mark.parametrize("workers", [2], ids=["parallel"])
 @pytest.mark.parametrize("times", [1, 10], ids=["transient", "permanent"])
 def test_worker_fault_matrix(positions, config, times, workers):
     plan = FaultPlan(
@@ -182,6 +183,22 @@ def test_worker_fault_matrix(positions, config, times, workers):
     else:
         assert result.outcome == "salvaged"
         assert result.crashed is not None
+
+
+def test_worker_fault_outlasting_pool_retries(positions, config):
+    """A fault that outlasts the pool's two resubmissions but not the
+    inline retries: the pool is abandoned, the job re-runs inline, and
+    the archive is byte-exact."""
+    plan = FaultPlan((FaultSpec("worker_fail", job_index=2, times=4),), seed=3)
+    with recording() as rec:
+        result = run_chaos(positions, plan, config, workers=2)
+    _assert_no_silent_loss(result)
+    assert result.injected, "the fault never fired"
+    assert result.outcome == "intact"
+    assert result.byte_exact
+    counters = rec.snapshot()["counters"]
+    assert counters["stream.executor.pool_abandoned"] == 1
+    assert counters["stream.executor.jobs_rerun_inline"] >= 1
 
 
 def test_combined_faults(positions, config, boundary_offsets):

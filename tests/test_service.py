@@ -600,6 +600,28 @@ class TestStructuredErrors:
             assert resp.status == 400, (case, error)
             assert error["code"] == "container_malformed", (case, error)
 
+    def test_hostile_counts_are_client_errors(self, hostile_counts):
+        """Hostile header counts are the archive's fault: 400, never
+        500."""
+
+        async def main():
+            async with running_service() as svc:
+                async with ServiceClient("127.0.0.1", svc.port) as client:
+                    return {
+                        case: await client.request(
+                            "POST", "/v1/decompress", {}, blob
+                        )
+                        for case, blob in hostile_counts.items()
+                    }
+
+        for case, resp in run(main()).items():
+            error = resp.json()["error"]
+            assert resp.status == 400, (case, error)
+            assert error["code"] in (
+                "container_malformed",
+                "decompression_failed",
+            ), (case, error)
+
     def test_unknown_routes_and_methods(self):
         async def main():
             async with running_service() as svc:

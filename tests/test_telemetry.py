@@ -289,14 +289,9 @@ class TestStreamInstrumentation:
             )
         snap = rec.snapshot()
         assert snap["counters"]["stream.chunks_written"] == stats.chunks == 9
-        # In serial mode every chunk is either pushed (in-session) or
-        # part of an inline batched flush job (one job per flush, one
-        # chunk per axis).
-        axes = trajectory.shape[2]
-        handled = snap["counters"]["stream.executor.pushed"] + axes * snap[
-            "counters"
-        ].get("stream.executor.inline", 0)
-        assert handled == stats.chunks
+        # In serial mode every chunk is encoded in session and pushed.
+        assert snap["counters"]["stream.executor.pushed"] == stats.chunks
+        assert "stream.executor.inline" not in snap["counters"]
         assert snap["gauges"]["stream.queue_depth"] == 0.0
         assert snap["timers"]["stream.flush"]["count"] == stats.buffers
         # Chunk frames are the container minus magic/header/footer.

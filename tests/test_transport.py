@@ -1,19 +1,24 @@
 """Degraded-path coverage for the executor's shared-memory transport.
 
-The transport has a degradation ladder — pool + shared-memory payloads,
-pool + pickled payloads, inline execution — and every rung must produce
-byte-identical archives.  These tests force each rung: a pool that dies
-mid-backpressure-wait, shared memory that is unavailable or exhausted,
-and state digests that miss the worker cache, plus the lifecycle
-guarantee that no ``/dev/shm`` segment outlives ``close``/``terminate``/
-``abort``.
+A buffer reaches a worker only through shared memory: its batch through
+a ring slot, its frozen session state through a published segment.
+Everything else is the one fallback — the writer encodes the buffer in
+its own session — so there are two rungs, pool + shared memory and
+in-session, and both must produce byte-identical archives.  These tests
+force the fallback (a serial writer, a pool that dies mid-backpressure
+wait, shared memory that is unavailable from the start or fails
+mid-stream), check that state digests missing the worker cache rebuild
+from the published segment, and check the lifecycle guarantee that no
+``/dev/shm`` segment outlives ``close``/``terminate``/``abort``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import io
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -33,7 +38,9 @@ from repro.stream import (
     stream_compress,
 )
 from repro.stream import executor as executor_mod
+from repro.stream import writer as writer_mod
 from repro.telemetry import MetricsRecorder, recording
+from repro.telemetry.tracing import TracingRecorder
 
 
 def _trajectory(snapshots=24, atoms=120, seed=3):
@@ -281,9 +288,9 @@ class TestShmLifecycle:
         ring.destroy()
         assert _shm_entries() == before
 
-    def test_shm_unavailable_falls_back_to_pickle(self, monkeypatch):
-        """When segment creation fails, the stream continues on pickled
-        payloads with identical bytes."""
+    def test_shm_unavailable_encodes_in_session(self, monkeypatch):
+        """When segment creation fails, the pool is abandoned and the
+        stream encodes in session with identical bytes."""
         traj = _trajectory()
         serial = _compress(traj, workers=0)
 
@@ -295,16 +302,89 @@ class TestShmLifecycle:
             parallel = _compress(traj, workers=2)
         assert parallel == serial
         snap = rec.snapshot()
+        assert snap["counters"]["stream.executor.pool_abandoned"] == 1
+        assert "stream.executor.dispatched" not in snap["counters"]
         assert "stream.executor.shm_bytes" not in snap["counters"]
         assert any(
             event["name"] == "stream.executor.shm_unavailable"
             for event in snap["events"]
         )
 
+    def test_shm_failure_mid_stream_encodes_rest_in_session(
+        self, monkeypatch
+    ):
+        """Slot creation starts failing after two flushes went to the
+        pool: those jobs finish or re-run inline from their segments,
+        the remaining buffers encode in session, and nothing leaks."""
+        traj = _trajectory(snapshots=40)
+        serial = _compress(traj, workers=0)
+        try_acquire = executor_mod._ShmRing.try_acquire
+        calls = []
 
+        def _failing_from_third(ring, nbytes):
+            # One slot per pool flush; a freed slot is reused without a
+            # new segment, so the failure is keyed to flushes, not to
+            # _create_segment calls.
+            calls.append(nbytes)
+            if len(calls) >= 3:
+                raise OSError("shm exhausted")
+            return try_acquire(ring, nbytes)
+
+        monkeypatch.setattr(
+            executor_mod._ShmRing, "try_acquire", _failing_from_third
+        )
+        before = _shm_entries()
+        with recording(MetricsRecorder()) as rec:
+            parallel = _compress(traj, workers=2)
+        assert _shm_entries() == before
+        assert parallel == serial
+        counters = rec.snapshot()["counters"]
+        assert counters["stream.executor.dispatched"] == 2
+        assert counters["stream.executor.pool_abandoned"] == 1
+        assert len(calls) == 3  # nothing tried shared memory afterwards
+
+    def test_serial_writer_submits_nothing(self, monkeypatch):
+        """A serial writer encodes every buffer in its own session: no
+        job spec, no submit, no worker session, no worker span."""
+
+        def _forbidden(*args, **kwargs):
+            raise AssertionError("a serial writer built a pool job")
+
+        monkeypatch.setattr(writer_mod, "AxisJobSpec", _forbidden)
+        monkeypatch.setattr(ParallelExecutor, "submit", _forbidden)
+        executor_mod._SESSIONS.clear()
+        traj = _trajectory()
+        rec = TracingRecorder()
+        with recording(rec):
+            _compress(traj, workers=0)
+        snap = rec.snapshot()
+        assert not executor_mod._SESSIONS
+        counters = snap["counters"]
+        assert "stream.executor.inline" not in counters
+        assert "stream.executor.dispatched" not in counters
+        assert not any(
+            name.startswith("stream.executor.state_cache.")
+            for name in counters
+        )
+        assert not any(
+            span["name"] == "stream.worker.encode_axis"
+            for span in snap["spans"]
+        )
+        # Provenance covers every (buffer, axis) chunk exactly once.
+        keys = {
+            (r["buffer"], r["axis"])
+            for r in snap["provenance"]
+            if "buffer" in r
+        }
+        assert len(keys) == len(snap["provenance"]) == 6 * 3
+
+
+@contextlib.contextmanager
 def _state_spec(traj, digest_override=None):
-    """An AxisJobSpec (inline state) for axis 0 of ``traj`` plus the
-    follow-up batch it should encode, and the serial reference bytes."""
+    """A flush job for axis 0 of ``traj``, its state and batch in real
+    segments, plus the in-session reference bytes.
+
+    Yields ``(flush, expected)``; the segments are unlinked on exit."""
     config = MDZConfig(
         buffer_size=4, error_bound=1e-3, error_bound_mode="absolute"
     )
@@ -319,34 +399,43 @@ def _state_spec(traj, digest_override=None):
     method = session.pending_method()
     assert method is not None
     reference, level_fit, digest = session.export_session_state(method)
-    spec = AxisJobSpec(
-        method=method,
-        error_bound=1e-3,
-        n_atoms=traj.shape[1],
-        quantization_scale=config.quantization_scale,
-        sequence_mode=config.sequence_mode,
-        lossless_backend=config.lossless_backend,
-        level_seed=config.level_seed,
-        reference=reference,
-        level_fit=level_fit,
-        entropy_streams=config.entropy_streams,
-        state_digest=digest_override or digest,
-    )
-    expected = session.compress_batch(axis[8:12])
-    return spec, axis[8:12], expected
+    state = pickle.dumps((reference, level_fit), pickle.HIGHEST_PROTOCOL)
+    state_segment = executor_mod._create_segment(len(state))
+    state_segment.buf[: len(state)] = state
+    ring = executor_mod._ShmRing(1)
+    try:
+        batch = axis[8:12][None]
+        index, segment = ring.try_acquire(batch.nbytes)
+        slot = executor_mod._ShmSlot(ring=ring, index=index, segment=segment)
+        spec = AxisJobSpec(
+            method=method,
+            error_bound=1e-3,
+            n_atoms=traj.shape[1],
+            quantization_scale=config.quantization_scale,
+            sequence_mode=config.sequence_mode,
+            lossless_backend=config.lossless_backend,
+            level_seed=config.level_seed,
+            state_digest=digest_override or digest,
+            state_shm=(state_segment.name, len(state)),
+            entropy_streams=config.entropy_streams,
+        )
+        flush = FlushJobSpec(jobs=(spec,), shm=slot.pack(batch))
+        yield flush, session.compress_batch(axis[8:12])
+    finally:
+        ring.destroy()
+        executor_mod._destroy_segment(state_segment)
 
 
 class TestStateDigestCache:
     def test_digest_miss_falls_back_to_full_state(self):
         """A digest the worker cache has never seen rebuilds the session
-        from the shipped state — bytes identical to in-session encode."""
+        from the published state — bytes identical to in-session encode."""
         traj = _trajectory()
-        spec, batch, expected = _state_spec(
-            traj, digest_override="no-such-digest-" + os.urandom(4).hex()
-        )
+        digest = "no-such-digest-" + os.urandom(4).hex()
         executor_mod._SESSIONS.clear()
-        with recording(MetricsRecorder()) as rec:
-            [blob] = encode_flush(FlushJobSpec(jobs=(spec,)), batch[None])
+        with _state_spec(traj, digest) as (flush, expected):
+            with recording(MetricsRecorder()) as rec:
+                [blob] = encode_flush(flush)
         assert blob == expected
         counters = rec.snapshot()["counters"]
         assert counters["stream.executor.state_cache.miss"] == 1
@@ -354,11 +443,11 @@ class TestStateDigestCache:
 
     def test_digest_hit_reuses_cached_session(self):
         traj = _trajectory()
-        spec, batch, expected = _state_spec(traj)
         executor_mod._SESSIONS.clear()
-        with recording(MetricsRecorder()) as rec:
-            [first] = encode_flush(FlushJobSpec(jobs=(spec,)), batch[None])
-            [second] = encode_flush(FlushJobSpec(jobs=(spec,)), batch[None])
+        with _state_spec(traj) as (flush, expected):
+            with recording(MetricsRecorder()) as rec:
+                [first] = encode_flush(flush)
+                [second] = encode_flush(flush)
         assert first == expected
         assert second == expected
         counters = rec.snapshot()["counters"]
@@ -367,12 +456,13 @@ class TestStateDigestCache:
 
     def test_cache_is_bounded(self):
         traj = _trajectory()
-        spec, batch, expected = _state_spec(traj)
         executor_mod._SESSIONS.clear()
-        for i in range(executor_mod._SESSION_CACHE_MAX + 3):
-            fake = dataclasses.replace(spec, state_digest=f"digest-{i}")
-            [blob] = encode_flush(FlushJobSpec(jobs=(fake,)), batch[None])
-            assert blob == expected
+        with _state_spec(traj) as (flush, expected):
+            [spec] = flush.jobs
+            for i in range(executor_mod._SESSION_CACHE_MAX + 3):
+                fake = dataclasses.replace(spec, state_digest=f"digest-{i}")
+                [blob] = encode_flush(dataclasses.replace(flush, jobs=(fake,)))
+                assert blob == expected
         assert len(executor_mod._SESSIONS) == executor_mod._SESSION_CACHE_MAX
 
 
