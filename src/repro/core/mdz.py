@@ -13,6 +13,7 @@ Two entry points:
 
 from __future__ import annotations
 
+import contextlib
 import time
 from typing import Iterable, Iterator
 
@@ -236,6 +237,19 @@ class MDZAxisCompressor(Compressor):
         return decoder
 
 
+@contextlib.contextmanager
+def _forged_fields():
+    """Raise :class:`DecompressionError` for the builtin error a forged
+    payload field trips: a missing key, a mistyped or negative count, a
+    short array."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise DecompressionError(
+            f"corrupt chunk payload: {type(exc).__name__}: {exc}"
+        ) from exc
+
+
 def decompress_chunks(
     items: Iterable[tuple[MDZAxisCompressor, bytes]],
 ) -> Iterator[np.ndarray]:
@@ -249,6 +263,8 @@ def decompress_chunks(
     its later buffers read when they are reconstructed.
     ``mdz.decompress_batch`` is observed once per chunk and times that
     chunk's parse and reconstruct; the batch has ``sz.huffman.decode``.
+    Chunks are untrusted input: a field the parse or reconstruct step
+    cannot use raises :class:`DecompressionError`.
     """
     recorder = get_recorder()
     batch = HuffmanBatch()
@@ -256,20 +272,23 @@ def decompress_chunks(
     for session, blob in items:
         start = time.perf_counter()
         state = session._require_state()
-        reader = BlobReader(lossless_decompress(blob))
-        method_id = int(reader.read_json()["m"])
-        try:
-            name = METHOD_NAMES[method_id]
-        except KeyError:
-            raise DecompressionError(
-                f"unknown MDZ method id {method_id}"
-            ) from None
-        reconstruct = get_method(name).parse(reader.read_bytes(), state, batch)
+        with _forged_fields():
+            reader = BlobReader(lossless_decompress(blob))
+            method_id = int(reader.read_json()["m"])
+            try:
+                name = METHOD_NAMES[method_id]
+            except KeyError:
+                raise DecompressionError(
+                    f"unknown MDZ method id {method_id}"
+                ) from None
+            method = get_method(name)
+            reconstruct = method.parse(reader.read_bytes(), state, batch)
         steps.append((state, reconstruct, time.perf_counter() - start))
     batch.decode()
     for state, reconstruct, parse_s in steps:
         start = time.perf_counter()
-        out = reconstruct()
+        with _forged_fields():
+            out = reconstruct()
         if state.reference is None:
             state.reference = out[0].copy()
         recorder.observe(

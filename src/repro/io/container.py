@@ -1,6 +1,6 @@
 """The ``.mdz`` container formats.
 
-Two container generations share this read API:
+Two container generations, one reader:
 
 * ``MDZ2`` — the append-only chunked layout (see
   :mod:`repro.stream.format`).  It is the only format anything writes:
@@ -19,15 +19,14 @@ Two container generations share this read API:
                           the payload area, buffer-major
       payload : BYTES    concatenation of the per-buffer per-axis blobs
 
-:func:`read_container`, :func:`read_container_batch`,
-:func:`read_container_info` and :func:`verify_container` sniff the magic
-and dispatch, so every consumer (CLI, service, benchmarks, analysis)
-handles both generations.  Both record the same header keys, and
+:func:`open_layout` sniffs the magic and opens either generation as a
+:class:`repro.stream.format.StreamLayout` (an ``MDZ1`` index becomes one
+chunk entry per offset), and :class:`repro.stream.reader.StreamingReader`
+reads that layout: :func:`read_container`, :func:`read_container_batch`
+and :func:`read_container_info` are one reader call each, with one
+grouped decode, one random-access rule and one set of untrusted-input
+checks for both generations.  Both record the same header keys, and
 :func:`decode_sessions` rebuilds the per-axis decode sessions from them.
-
-The MDZ1 index enables random access to any buffer; buffers coded by VQ
-are fully independent, while VQT/MT buffers additionally need the session
-reference (rebuilt by decoding buffer 0 once).
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from __future__ import annotations
 import io
 import zlib
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -49,6 +48,9 @@ from ..exceptions import (
     DecompressionError,
 )
 from ..serde import BlobReader
+
+if TYPE_CHECKING:
+    from ..stream.format import StreamLayout
 
 MAGIC = b"MDZ1"
 
@@ -73,11 +75,11 @@ def container_version(blob: bytes) -> int:
         magic = BlobReader(blob).read_bytes()
     except DecompressionError as exc:
         raise ContainerFormatError(
-            f"not an .mdz container: {exc}"
+            f"bad container magic {blob[:4]!r}: not an .mdz container ({exc})"
         ) from exc
     if magic != MAGIC:
         raise ContainerFormatError(
-            f"bad container magic {magic!r}; expected {MAGIC!r} or MDZ2"
+            f"bad container magic {magic[:16]!r}; expected {MAGIC!r} or MDZ2"
         )
     return 1
 
@@ -268,28 +270,54 @@ def decode_buffers(
         yield from decode_group(sessions, group)
 
 
-def _open_container(blob: bytes):
+def open_layout(
+    blob: bytes, recover: bool = False, salvage: bool = False
+) -> StreamLayout:
+    """The chunk layout of a container of either generation.
+
+    ``MDZ2`` is parsed by :func:`repro.stream.format.parse_stream` with
+    the given strictness.  ``MDZ1`` was written in one piece and has no
+    frames to recover, so it opens strictly whatever ``recover`` and
+    ``salvage`` say.  An input that is neither raises
+    :class:`ContainerFormatError` naming its magic.
+    """
+    from ..stream.format import parse_stream
+
+    if container_version(blob) == 2:
+        return parse_stream(blob, recover=recover, salvage=salvage)
+    return _mdz1_layout(blob)
+
+
+def _mdz1_layout(blob: bytes) -> StreamLayout:
+    """An ``MDZ1`` container as a complete chunk layout.
+
+    Offset ``i`` of the buffer-major index is buffer ``i // axes``, axis
+    ``i % axes``; rows come from the header's ``snapshots`` and
+    ``buffer_size``.  Untrusted input: the payload must match the index
+    total and CRC32, the header the offset count (:func:`check_counts`),
+    and each offset must lie inside the payload, not before the one
+    preceding it; else :class:`ContainerFormatError`.
+    """
+    from ..stream.format import ChunkEntry, StreamLayout
+
     reader = BlobReader(blob)
     try:
-        magic = reader.read_bytes()
-        if magic != MAGIC:
-            raise ContainerFormatError(
-                f"bad container magic {magic!r}; expected {MAGIC!r} or MDZ2"
-            )
+        reader.read_bytes()  # the magic, checked by container_version
         header = reader.read_json()
         index = reader.read_json()
         payload = reader.read_bytes()
-    except ContainerFormatError:
-        raise
     except DecompressionError as exc:
         # Framing-level failures (short frames, wrong tags) mean the file
         # itself is damaged, not one compressed payload inside it.
         raise ContainerFormatError(
             f"truncated or malformed container: {exc}"
         ) from exc
+    base = reader.position - len(payload)
     try:
         total = int(index["total"])
         offsets = [int(o) for o in index["offsets"]]
+        crc = index.get("crc32")
+        crc = None if crc is None else int(crc)
     except (KeyError, TypeError, ValueError) as exc:
         raise ContainerFormatError(f"malformed container index: {exc}") from exc
     if total != len(payload):
@@ -297,49 +325,38 @@ def _open_container(blob: bytes):
             f"payload length {len(payload)} does not match index total "
             f"{total}"
         )
-    expected_crc = index.get("crc32")
-    if expected_crc is not None:
+    if crc is not None:
         actual = zlib.crc32(payload) & 0xFFFFFFFF
-        if actual != int(expected_crc):
+        if actual != crc:
             raise ContainerFormatError(
-                f"payload checksum mismatch (stored {expected_crc:#010x}, "
+                f"payload checksum mismatch (stored {crc:#010x}, "
                 f"computed {actual:#010x}): the container is corrupted"
             )
     check_counts(header, chunks=len(offsets))
-    return header, offsets, payload
-
-
-def _blob_at(payload: bytes, offsets: list[int], i: int) -> bytes:
-    start = offsets[i]
-    end = offsets[i + 1] if i + 1 < len(offsets) else len(payload)
-    return payload[start:end]
-
-
-def read_container(blob: bytes) -> np.ndarray:
-    """Decompress a full container (``MDZ1`` or ``MDZ2``) to float64."""
-    if container_version(blob) == 2:
-        from ..stream.reader import StreamingReader
-
-        return StreamingReader(blob).read_all()
-    header, offsets, payload = _open_container(blob)
-    t_count = int(header["snapshots"])
-    n_atoms = int(header["atoms"])
-    n_axes = int(header["axes"])
-    bs = int(header["buffer_size"])
-    sessions = decode_sessions(header)
-    out = np.empty((t_count, n_atoms, n_axes), dtype=np.float64)
-    buffers = (
-        (out[t0 : t0 + bs], _chunks_at(payload, offsets, t0 // bs, n_axes))
-        for t0 in range(0, t_count, bs)
+    axes, size = int(header["axes"]), int(header["buffer_size"])
+    snapshots = int(header["snapshots"])
+    view = memoryview(payload)
+    chunks = []
+    for i, (start, end) in enumerate(zip(offsets, offsets[1:] + [total])):
+        if not 0 <= start <= end <= total:
+            raise ContainerFormatError(
+                f"index offset {i} ({start}) is out of order or outside "
+                f"the {total}-byte payload"
+            )
+        buffer_index = i // axes
+        chunks.append(
+            ChunkEntry(
+                buffer_index=buffer_index,
+                axis=i % axes,
+                rows=min(size, snapshots - buffer_index * size),
+                offset=base + start,
+                length=end - start,
+                crc32=zlib.crc32(view[start:end]) & 0xFFFFFFFF,
+            )
+        )
+    return StreamLayout(
+        header=header, chunks=chunks, snapshots=snapshots, complete=True
     )
-    for _ in decode_buffers(sessions, buffers):
-        pass
-    return out
-
-
-def _chunks_at(payload: bytes, offsets: list[int], b: int, n_axes: int):
-    """The per-axis payloads of buffer ``b``."""
-    return [_blob_at(payload, offsets, b * n_axes + a) for a in range(n_axes)]
 
 
 @dataclass(frozen=True)
@@ -366,95 +383,30 @@ class ContainerInfo:
     members: tuple[str, ...] | None = None
 
 
-def summarize(
-    header: dict, snapshots: int, n_buffers: int, pieces
-) -> ContainerInfo:
-    """A :class:`ContainerInfo` from a header of either generation and
-    its ``(axis, payload)`` pairs (only each payload's method tag is
-    read)."""
-    from ..core.methods import METHOD_NAMES
-    from ..sz.lossless import lossless_decompress
+def read_container(blob: bytes) -> np.ndarray:
+    """Decompress a full container (``MDZ1`` or ``MDZ2``) to float64."""
+    from ..stream.reader import StreamingReader
 
-    n_axes = int(header["axes"])
-    methods: list[dict[str, int]] = [dict() for _ in range(n_axes)]
-    payload_bytes = 0
-    for axis, piece in pieces:
-        payload_bytes += len(piece)
-        reader = BlobReader(lossless_decompress(piece))
-        method_id = int(reader.read_json()["m"])
-        name = METHOD_NAMES.get(method_id, f"?{method_id}")
-        methods[axis][name] = methods[axis].get(name, 0) + 1
-    return ContainerInfo(
-        snapshots=snapshots,
-        atoms=int(header["atoms"]),
-        axes=n_axes,
-        buffer_size=int(header["buffer_size"]),
-        error_bounds=tuple(float(b) for b in header["error_bounds"]),
-        method=str(header["method"]),
-        sequence=str(header["sequence"]),
-        n_buffers=n_buffers,
-        payload_bytes=payload_bytes,
-        methods_per_axis=tuple(methods),
-        members=(
-            tuple(str(m) for m in header["members"])
-            if "members" in header
-            else None
-        ),
-    )
+    return StreamingReader(blob).read_all()
 
 
 def read_container_info(blob: bytes) -> ContainerInfo:
     """Inspect a container: header fields plus the per-buffer method tags."""
-    if container_version(blob) == 2:
-        from ..stream.reader import StreamingReader
+    from ..stream.reader import StreamingReader
 
-        return StreamingReader(blob).container_info()
-    header, offsets, payload = _open_container(blob)
-    n_axes = int(header["axes"])
-    return summarize(
-        header,
-        int(header["snapshots"]),
-        len(offsets) // n_axes,
-        (
-            (i % n_axes, _blob_at(payload, offsets, i))
-            for i in range(len(offsets))
-        ),
-    )
+    return StreamingReader(blob).container_info()
 
 
 def read_container_batch(blob: bytes, batch_index: int) -> np.ndarray:
     """Decode one buffer (all axes) from a container.
 
-    Buffer 0 joins the target's entropy pass when needed to rebuild the
-    MT/VQT session reference: for ``MDZ1`` whenever the target is not
-    buffer 0; ``MDZ2`` streams coded by VQ decode the target alone.
+    Archives of the fixed VQ method decode the target alone; otherwise
+    buffer 0 joins the target's entropy pass to rebuild the MT/VQT
+    session reference.
     """
-    if container_version(blob) == 2:
-        from ..stream.reader import StreamingReader
+    from ..stream.reader import StreamingReader
 
-        return StreamingReader(blob).read_buffer(batch_index)
-    header, offsets, payload = _open_container(blob)
-    t_count = int(header["snapshots"])
-    n_atoms = int(header["atoms"])
-    n_axes = int(header["axes"])
-    bs = int(header["buffer_size"])
-    n_batches = (t_count + bs - 1) // bs
-    if not 0 <= batch_index < n_batches:
-        raise ContainerFormatError(
-            f"batch {batch_index} out of range (container has {n_batches})"
-        )
-    sessions = decode_sessions(header)
-    # Buffer 0 primes the session references, in the target's group.
-    indices = [0, batch_index] if batch_index > 0 else [0]
-    group = [
-        (
-            np.empty((min(bs, t_count - b * bs), n_atoms, n_axes)),
-            _chunks_at(payload, offsets, b, n_axes),
-        )
-        for b in indices
-    ]
-    *_, out = decode_group(sessions, group)
-    return out
+    return StreamingReader(blob).read_buffer(batch_index)
 
 
 def verify_container(blob: bytes) -> dict:
@@ -462,9 +414,10 @@ def verify_container(blob: bytes) -> dict:
 
     Dispatches on the magic: ``MDZ2`` blobs go through
     :func:`repro.stream.format.verify_stream` (per-chunk CRCs, rolling
-    checksum chain, footer/index agreement); ``MDZ1`` blobs are checked
-    for frame structure, index/payload agreement, and the whole-payload
-    CRC32.
+    checksum chain, footer/index agreement); an ``MDZ1`` blob is intact
+    when it opens as the layout every reader uses (frame structure,
+    index total, whole-payload CRC32, header counts, offsets in order
+    inside the payload).
 
     Returns a JSON-serialisable report.  Common keys:
 
@@ -473,13 +426,13 @@ def verify_container(blob: bytes) -> dict:
     * ``errors`` — human-readable failure descriptions (empty if intact).
 
     Never raises for damaged input: structural failures are folded into
-    the report (``intact=False``).  Only a zero-length blob still raises
+    the report (``intact=False``).  Only an input that is not a
+    container at all (empty, or neither magic) still raises
     :class:`ContainerFormatError`, mirroring :func:`container_version`.
     """
-    version = container_version(blob)
-    if version == 2:
-        from ..stream.format import verify_stream
+    from ..stream.format import verify_stream
 
+    if container_version(blob) == 2:
         return verify_stream(blob)
     report: dict = {
         "format": "MDZ1",
@@ -490,21 +443,14 @@ def verify_container(blob: bytes) -> dict:
         "errors": [],
     }
     try:
-        header, offsets, payload = _open_container(blob)
+        layout = _mdz1_layout(blob)
     except ContainerFormatError as exc:
         report["errors"].append(str(exc))
         return report
-    report["header"] = True
-    report["snapshots"] = int(header["snapshots"])
-    report["chunks"] = len(offsets)
-    previous = 0
-    for i, off in enumerate(offsets):
-        if off < previous or off > len(payload):
-            report["errors"].append(
-                f"index offset {i} out of order or beyond payload "
-                f"({off} / {len(payload)})"
-            )
-            return report
-        previous = off
-    report["intact"] = True
+    report.update(
+        intact=True,
+        header=True,
+        chunks=len(layout.chunks),
+        snapshots=layout.snapshots,
+    )
     return report

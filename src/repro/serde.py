@@ -146,6 +146,11 @@ class BlobReader:
         return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
 
     @property
+    def position(self) -> int:
+        """Offset of the next unread byte of the blob."""
+        return self._buf.tell()
+
+    @property
     def exhausted(self) -> bool:
         """True when every section has been consumed."""
         return self._buf.tell() >= self._size

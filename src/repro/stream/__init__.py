@@ -5,14 +5,17 @@ parallel compression executor, and the in-situ pipeline.
 front end (:class:`repro.core.mdz.MDZ` + :mod:`repro.io.container`)
 holds the whole trajectory, resolves its error bounds over it, and feeds
 it through a serial writer; in-situ producers feed snapshots as they
-come.  The legacy monolithic ``MDZ1`` format is only read.
+come.  :class:`StreamingReader` is the one reader: it also reads the
+legacy monolithic ``MDZ1`` format, which
+:func:`repro.io.container.open_layout` opens as a chunk layout.
 
 * :mod:`repro.stream.format` — the append-only ``MDZ2`` frame layout
   (CRC-checked self-delimiting chunks, footer index, crash recovery);
 * :mod:`repro.stream.writer` — :class:`StreamingWriter`, a
   ``feed(snapshot)`` front end with incremental per-buffer flushing;
 * :mod:`repro.stream.reader` — :class:`StreamingReader`, random-access
-  and sequential decoding, with opt-in recovery of truncated files;
+  and sequential decoding of either generation, with opt-in recovery of
+  truncated ``MDZ2`` files;
 * :mod:`repro.stream.executor` — :class:`ParallelExecutor`, a
   ``multiprocessing`` pool fed through shared memory, with bounded
   backpressure and ordered reassembly whose output is byte-identical to

@@ -71,6 +71,8 @@ _U32 = struct.Struct("<I")
 class ChunkEntry:
     """Location and identity of one chunk frame inside a stream.
 
+    :func:`repro.io.container.open_layout` also builds one per ``MDZ1``
+    index offset; its ``crc32`` is then computed when the archive opens.
     ``rolling`` is the cumulative CRC32 of every chunk payload up to and
     including this one (``crc32(payload_k, rolling_{k-1})``, seeded with
     0); it is ``None`` for index rows written before the rolling column
@@ -139,7 +141,9 @@ class Quarantine:
 
 @dataclass
 class StreamLayout:
-    """Parsed structure of an ``MDZ2`` stream (no payload decoding)."""
+    """Parsed structure of an ``MDZ2`` stream, or of an ``MDZ1`` archive
+    opened by :func:`repro.io.container.open_layout` (no payload
+    decoding)."""
 
     header: dict
     chunks: list[ChunkEntry]

@@ -37,7 +37,10 @@ def stream_compress(
 def stream_decompress(
     source: bytes | str | Path, recover: bool = False
 ) -> np.ndarray:
-    """Decode an ``MDZ2`` container to a ``(T, N, axes)`` float64 array."""
+    """Decode a container to a ``(T, N, axes)`` float64 array.
+
+    Legacy ``MDZ1`` archives read too, strictly whatever ``recover`` says.
+    """
     return StreamingReader(source, recover=recover).read_all()
 
 

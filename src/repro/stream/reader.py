@@ -1,13 +1,14 @@
-"""Reader for ``MDZ2`` streaming containers.
+"""The one container reader: ``MDZ2`` streams and legacy ``MDZ1`` archives.
 
-Supports three access patterns:
+:func:`repro.io.container.open_layout` opens either generation as a
+chunk layout (an ``MDZ1`` index becomes one chunk entry per offset), and
+everything below reads that layout.  Three access patterns:
 
 * :meth:`StreamingReader.read_all` — sequential full decode, sessions
   carried across buffers exactly like the writer's;
 * :meth:`StreamingReader.read_buffer` — random access to one buffer; VQ
-  streams decode it directly, other methods decode buffer 0 in the same
-  group to restore the session reference (same contract as legacy
-  ``MDZ1`` batch reads);
+  archives decode it directly, other methods decode buffer 0 in the
+  same group to restore the session reference;
 * :meth:`StreamingReader.iter_buffers` — incremental consumption with
   bounded memory (the analysis-side half of the in-situ pipeline).
 
@@ -16,17 +17,18 @@ decode pass (:func:`repro.io.container.decode_buffers`), up to
 :data:`repro.io.container.GROUP_VALUES` decoded values per group, which
 also bounds what :meth:`~StreamingReader.iter_buffers` holds at once.
 
-Opened with ``recover=True``, a footer-less file (crashed writer,
-truncated copy) is re-indexed by a linear scan and every *complete*
-buffer — all axes present and CRC-intact — is readable up to the first
-damaged frame.
+Opened with ``recover=True``, a footer-less ``MDZ2`` file (crashed
+writer, truncated copy) is re-indexed by a linear scan and every
+*complete* buffer — all axes present and CRC-intact — is readable up to
+the first damaged frame.
 
 Opened with ``salvage=True``, damaged frames are *skipped* instead of
 ending the scan: quarantined chunks are excluded from the index, every
 decodable buffer anywhere in the file is readable, and
 :meth:`StreamingReader.salvage_report` accounts for exactly which
 snapshot indices were lost.  The salvage guarantees (what "lost" means)
-are documented in ``docs/architecture.md``.
+are documented in ``docs/architecture.md``.  An ``MDZ1`` archive has no
+frames to recover, so it opens strictly whatever the flags say.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from typing import Iterator
 
 import numpy as np
 
+from ..core.methods import METHOD_NAMES
 from ..exceptions import ContainerFormatError
 from ..io.container import (
     ContainerInfo,
@@ -45,8 +48,10 @@ from ..io.container import (
     decode_buffers,
     decode_group,
     decode_sessions,
-    summarize,
+    open_layout,
 )
+from ..serde import BlobReader
+from ..sz.lossless import lossless_decompress
 from . import format as fmt
 
 
@@ -136,15 +141,17 @@ class SalvageReport:
 
 
 class StreamingReader:
-    """Random-access and sequential decoder for one ``MDZ2`` stream.
+    """Random-access and sequential decoder for one container, ``MDZ2``
+    or legacy ``MDZ1``.
 
     Parameters
     ----------
     source:
         Container bytes, or a path to read them from.
     recover:
-        Accept files without an intact footer by scanning for surviving
-        chunk frames.  Off by default so silent truncation is an error.
+        Accept ``MDZ2`` files without an intact footer by scanning for
+        surviving chunk frames.  Off by default so silent truncation is
+        an error.
     salvage:
         Implies ``recover``; additionally *skip* damaged chunk frames
         (quarantine) instead of stopping at the first one, making every
@@ -156,9 +163,10 @@ class StreamingReader:
     ContainerFormatError
         For empty input, a bad magic, a damaged header, a header missing
         required fields or with counts the index contradicts (see
-        :func:`repro.io.container.check_counts`), or (strict mode) a
-        missing footer.  When
-        ``source`` is a path, the message names it.
+        :func:`repro.io.container.check_counts`), an ``MDZ1`` index or
+        payload that fails its checks, or (strict mode) a missing
+        ``MDZ2`` footer.  When ``source`` is a path, the message names
+        it.
     OSError
         When the path cannot be read.
     """
@@ -177,7 +185,7 @@ class StreamingReader:
             self._blob = bytes(source)
         self._salvage = bool(salvage)
         try:
-            self._layout = fmt.parse_stream(
+            self._layout = open_layout(
                 self._blob, recover=recover or salvage, salvage=salvage
             )
         except struct.error as exc:
@@ -440,13 +448,31 @@ class StreamingReader:
     # -- inspection -----------------------------------------------------
 
     def container_info(self) -> ContainerInfo:
-        """Structural summary in the shared ``ContainerInfo`` shape."""
-        return summarize(
-            self._layout.header,
-            self.snapshots,
-            self._n_complete,
-            (
-                (entry.axis, fmt.chunk_payload(self._blob, entry))
-                for entry in self._layout.chunks
+        """Header fields plus the method tag of every indexed chunk
+        (only each payload's tag is read, nothing is decoded)."""
+        methods: list[dict[str, int]] = [dict() for _ in range(self.axes)]
+        payload_bytes = 0
+        for entry in self._layout.chunks:
+            piece = fmt.chunk_payload(self._blob, entry)
+            payload_bytes += len(piece)
+            tag = int(BlobReader(lossless_decompress(piece)).read_json()["m"])
+            name = METHOD_NAMES.get(tag, f"?{tag}")
+            methods[entry.axis][name] = methods[entry.axis].get(name, 0) + 1
+        header = self._layout.header
+        return ContainerInfo(
+            snapshots=self.snapshots,
+            atoms=self.atoms,
+            axes=self.axes,
+            buffer_size=self.buffer_size,
+            error_bounds=self.error_bounds,
+            method=self.method,
+            sequence=self.sequence,
+            n_buffers=self._n_complete,
+            payload_bytes=payload_bytes,
+            methods_per_axis=tuple(methods),
+            members=(
+                tuple(str(m) for m in header["members"])
+                if "members" in header
+                else None
             ),
         )

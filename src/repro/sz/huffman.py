@@ -23,12 +23,12 @@ dictionary coder.  The implementation here is self-contained:
   single-stream (v1) blobs keep decoding bit-exactly through the
   original scalar table walker, one by one.
 
-The encoder codebook (lengths + canonical codes, keyed by a digest of the
-symbol histogram) and the decoder lookup structures (keyed by a digest of
-the codebook) are memoized in small LRU caches — see
-:func:`clear_codebook_caches` and the ``sz.huffman.cache.hit/miss``
-telemetry counters.  Reading an archive repeats codebooks; writing one
-rarely repeats a histogram, because each buffer's histogram differs.
+The decoder lookup structures (keyed by a digest of the codebook) are
+memoized in a small LRU cache — see :func:`clear_codebook_caches` and
+the ``sz.huffman.cache.hit/miss`` telemetry counters — because reading
+an archive repeats codebooks.  The encoder builds every codebook from
+its histogram: writing rarely repeats a histogram, since each buffer's
+differs, and a build costs about 0.1 ms.
 
 The public entry point is :class:`HuffmanCodec` with ``encode`` / ``decode``
 class methods that produce and consume self-contained byte blobs (codebook
@@ -174,7 +174,7 @@ def canonical_codes(lengths: np.ndarray) -> np.ndarray:
     return codes
 
 
-# -- codebook / decode-table caching ------------------------------------
+# -- decode-table caching ------------------------------------------------
 
 
 class _LRUCache:
@@ -214,13 +214,11 @@ class _LRUCache:
             return len(self._data)
 
 
-_ENCODE_CACHE = _LRUCache(64)
 _DECODE_CACHE = _LRUCache(64)
 
 
 def clear_codebook_caches() -> None:
-    """Drop the memoized encoder codebooks and decoder lookup tables."""
-    _ENCODE_CACHE.clear()
+    """Drop the memoized decoder lookup tables."""
     _DECODE_CACHE.clear()
 
 
@@ -234,27 +232,6 @@ def _digest(tag: bytes, *parts: np.ndarray) -> bytes:
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
-
-
-def _cached_codebook(
-    symbols: np.ndarray, counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(lengths, codes) for one histogram, memoized by digest.
-
-    Per-buffer, per-axis MDZ sessions re-encode near-identical alphabets
-    every snapshot batch; the heap tree build and the canonical-code
-    assignment are the only Python-loop stages left in ``encode``, so
-    caching them removes the per-buffer codebook cost entirely on repeats.
-    """
-    key = _digest(b"enc", symbols, counts)
-    cached = _ENCODE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    lengths = code_lengths(counts)
-    codes = canonical_codes(lengths)
-    value = (_freeze(lengths), _freeze(codes))
-    _ENCODE_CACHE.put(key, value)
-    return value
 
 
 #: Hard cap on the dense packed encode table (8 MB of uint64 entries).
@@ -395,8 +372,8 @@ def _histogram(
 
     Narrow value spans take a dense ``bincount`` over the range — one pass,
     no sort — whose nonzero bins reproduce exactly the sorted
-    (symbols, counts) pair ``np.unique`` would return, so codebook cache
-    digests are identical on both paths.  ``inverse`` is only materialized
+    (symbols, counts) pair ``np.unique`` would return, so both paths
+    build the same codebook.  ``inverse`` is only materialized
     on the wide-span fallback; dense-span callers index by value instead.
     """
     lo, hi = int(flat.min()), int(flat.max())
@@ -418,17 +395,17 @@ def estimate_encoded_bytes(
     """Predicted size of :meth:`HuffmanCodec.encode`'s blob, without packing.
 
     The Huffman payload length is exact — ``sum(counts * lengths)`` bits
-    over the (cached) codebook — so the only approximations are the H2
-    per-stream byte padding (taken at its 4-bit average) and the JSON/blob
-    framing overhead.  Costs one histogram pass plus a codebook-cache
-    lookup; no gather, no bit packing, no payload allocation.
+    over the codebook — so the only approximations are the H2 per-stream
+    byte padding (taken at its 4-bit average) and the JSON/blob framing
+    overhead.  Costs one histogram pass plus a codebook build; no gather,
+    no bit packing, no payload allocation.
     """
     arr = np.asarray(values)
     flat = arr.astype(np.int64, copy=False).ravel()
     if flat.size == 0:
         return 24
     symbols, counts, _, lo, hi = _histogram(flat)
-    lengths, _ = _cached_codebook(symbols, counts)
+    lengths = code_lengths(counts)
     payload_bits = int((counts * lengths).sum())
     n_streams = _resolve_streams(flat.size, streams)
     if alphabet_hint is not None and hi - lo < alphabet_hint:
@@ -535,7 +512,8 @@ class HuffmanCodec:
             with recorder.timer("sz.huffman.encode.histogram"):
                 symbols, counts, inverse, lo, hi = _histogram(flat)
             with recorder.timer("sz.huffman.encode.table"):
-                lengths, codes = _cached_codebook(symbols, counts)
+                lengths = code_lengths(counts)
+                codes = canonical_codes(lengths)
                 base, table = _packed_encode_table(symbols, lengths, codes)
             with recorder.timer("sz.huffman.encode.pack"):
                 if base is not None:

@@ -13,6 +13,7 @@ from repro.core.mdz import MDZ
 from repro.serde import BlobReader, BlobWriter
 from repro.stream import format as fmt
 from repro.stream import parse_stream
+from repro.sz.lossless import lossless_compress, lossless_decompress
 
 #: Legacy MDZ1 archives, written before MDZ1 became read-only
 #: (``tools/legacy_digests.py`` pins their digests).
@@ -86,26 +87,32 @@ FORGED_HEADERS = {
 }
 
 
-def _rewrite_mdz2_header(blob: bytes, edit) -> bytes:
-    """``blob`` with its MDZ2 header JSON edited.
+def _rewrite_mdz2(blob: bytes, edit_header=None, edit_payload=None) -> bytes:
+    """``blob`` (MDZ2) with its header JSON edited in place by
+    ``edit_header(header)`` and each chunk payload replaced by
+    ``edit_payload(chunk, payload)``.
 
     The frames are re-emitted behind the new header and the footer
-    re-indexed, so every CRC and offset is valid and only the header's
+    re-indexed, so every CRC and offset is valid and only the edited
     content is hostile.
     """
     layout = parse_stream(blob)
     header = dict(layout.header)
-    edit(header)
+    if edit_header is not None:
+        edit_header(header)
     out = io.BytesIO()
     offset = fmt.write_magic(out) + fmt.write_header(out, header)
     chunks, rolling = [], 0
     for chunk in layout.chunks:
+        payload = fmt.chunk_payload(blob, chunk)
+        if edit_payload is not None:
+            payload = edit_payload(chunk, payload)
         entry, written = fmt.write_chunk(
             out,
             chunk.buffer_index,
             chunk.axis,
             chunk.rows,
-            fmt.chunk_payload(blob, chunk),
+            payload,
             offset,
             rolling,
         )
@@ -116,19 +123,62 @@ def _rewrite_mdz2_header(blob: bytes, edit) -> bytes:
     return out.getvalue()
 
 
-def _rewrite_mdz1_header(blob: bytes, edit) -> bytes:
-    """``blob`` (MDZ1) with its header JSON edited; index and payload
-    are kept, so the payload CRC still holds."""
+def _rewrite_mdz1(blob: bytes, edit_header=None, edit_offsets=None) -> bytes:
+    """``blob`` (MDZ1) with its header JSON edited in place by
+    ``edit_header(header)`` and its index offsets replaced by
+    ``edit_offsets(offsets, total)``; the payload is kept, so its CRC
+    still holds."""
     reader = BlobReader(blob)
     magic, header = reader.read_bytes(), reader.read_json()
     index, payload = reader.read_json(), reader.read_bytes()
-    edit(header)
+    if edit_header is not None:
+        edit_header(header)
+    if edit_offsets is not None:
+        index["offsets"] = edit_offsets(index["offsets"], index["total"])
     writer = BlobWriter()
     writer.write_bytes(magic)
     writer.write_json(header)
     writer.write_json(index)
     writer.write_bytes(payload)
     return writer.getvalue()
+
+
+#: Hostile MDZ1 index offsets, keyed by case: two offsets swapped, the
+#: last one past the end of the payload, and a negative one.
+HOSTILE_OFFSETS = {
+    "swapped": lambda o, total: [o[0], o[2], o[1], *o[3:]],
+    "past-payload": lambda o, total: [*o[:-1], total + 64],
+    "negative": lambda o, total: [o[0], -8, *o[2:]],
+}
+
+
+#: Forged ``wide_n`` values (the literal count of a VQ residual
+#: stream), keyed by case: negative, a string and null.
+FORGED_WIDE_N = {"negative": -1, "string": "x", "null": None}
+
+
+def _sections(meta, *blobs) -> bytes:
+    """One JSON section followed by byte sections."""
+    writer = BlobWriter()
+    writer.write_json(meta)
+    for blob in blobs:
+        writer.write_bytes(blob)
+    return writer.getvalue()
+
+
+def _forge_wide_n(payload: bytes, value) -> bytes:
+    """A zlib VQ chunk payload whose residual stream claims
+    ``wide_n = value``; every framing layer around the field is valid."""
+    chunk = BlobReader(lossless_decompress(payload))
+    tag, vq = chunk.read_json(), BlobReader(chunk.read_bytes())
+    head, rel = vq.read_json(), vq.read_bytes()
+    stream = BlobReader(vq.read_bytes())
+    meta, codes, side = (
+        stream.read_json(), stream.read_bytes(), stream.read_bytes()
+    )
+    meta["wide_n"] = value
+    residuals = _sections(meta, codes, side)
+    return lossless_compress(_sections(tag, _sections(head, rel, residuals)))
 
 
 #: Hostile header counts, keyed by case: no or negative axes or atoms,
@@ -155,9 +205,27 @@ def forged_headers(trajectory) -> dict[str, tuple[str, bytes]]:
     header field."""
     blob = MDZ(MDZConfig(buffer_size=4)).compress(trajectory)
     return {
-        case: (field, _rewrite_mdz2_header(blob, edit))
+        case: (field, _rewrite_mdz2(blob, edit_header=edit))
         for case, (field, edit) in FORGED_HEADERS.items()
     }
+
+
+@pytest.fixture
+def forged_payloads(trajectory) -> dict[str, bytes]:
+    """``{case: archive}`` for every :data:`FORGED_WIDE_N` case: a VQ
+    ``MDZ.compress`` archive of ``trajectory`` whose first chunk
+    (buffer 0, axis 0) claims that ``wide_n``."""
+    blob = MDZ(MDZConfig(buffer_size=4, method="vq")).compress(trajectory)
+    cases = {}
+    for case, value in FORGED_WIDE_N.items():
+
+        def edit(chunk, payload, value=value):
+            if (chunk.buffer_index, chunk.axis) != (0, 0):
+                return payload
+            return _forge_wide_n(payload, value)
+
+        cases[case] = _rewrite_mdz2(blob, edit_payload=edit)
+    return cases
 
 
 @pytest.fixture
@@ -171,6 +239,6 @@ def hostile_counts(mdz1_archive) -> dict[tuple[str, str], bytes]:
     mdz2 = MDZ(MDZConfig(buffer_size=5)).compress(traj)
     cases = {}
     for case, edit in HOSTILE_COUNTS.items():
-        cases["MDZ2", case] = _rewrite_mdz2_header(mdz2, edit)
-        cases["MDZ1", case] = _rewrite_mdz1_header(mdz1_archive, edit)
+        cases["MDZ2", case] = _rewrite_mdz2(mdz2, edit_header=edit)
+        cases["MDZ1", case] = _rewrite_mdz1(mdz1_archive, edit_header=edit)
     return cases

@@ -17,12 +17,18 @@ from repro.io.container import (
     container_version,
     read_container,
     read_container_batch,
+    read_container_info,
     verify_container,
     write_container,
 )
 from repro.stream import StreamingReader, parse_stream
 
-from .conftest import HOSTILE_COUNTS, _rewrite_mdz1_header
+from .conftest import (
+    FORGED_WIDE_N,
+    HOSTILE_COUNTS,
+    HOSTILE_OFFSETS,
+    _rewrite_mdz1,
+)
 
 
 class TestContainerRoundTrip:
@@ -122,7 +128,7 @@ class TestForgedHeaders:
                 reader.read_buffer(1)
 
     def test_mdz1_missing_scale(self, mdz1_archive):
-        forged = _rewrite_mdz1_header(mdz1_archive, lambda h: h.pop("scale"))
+        forged = _rewrite_mdz1(mdz1_archive, lambda h: h.pop("scale"))
         with pytest.raises(ContainerFormatError, match="'scale'"):
             MDZ().decompress(forged)
         with pytest.raises(ContainerFormatError, match="'scale'"):
@@ -185,6 +191,45 @@ class TestHostileCounts:
             blob = hostile_counts[generation, "axes-short-index"]
             with pytest.raises(ContainerFormatError, match="index"):
                 read_container(blob)
+
+
+class TestHostileOffsets:
+    """MDZ1 index offsets that are swapped, point past the payload or
+    are negative raise ``ContainerFormatError`` within 1 s through every
+    reader (an MDZ1 archive opens strictly whatever the recovery flags
+    say), and ``verify_container`` reports the archive as not intact."""
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_OFFSETS))
+    def test_mdz1(self, mdz1_archive, case):
+        blob = _rewrite_mdz1(mdz1_archive, edit_offsets=HOSTILE_OFFSETS[case])
+        for read in (
+            lambda: read_container(blob),
+            lambda: read_container_batch(blob, 1),
+            lambda: read_container_info(blob),
+            lambda: StreamingReader(blob, salvage=True).read_all(),
+        ):
+            _raises_within(read, ContainerFormatError)
+        report = verify_container(blob)
+        assert not report["intact"]
+        assert "index offset" in report["errors"][0]
+
+
+class TestForgedPayloads:
+    """A chunk payload field a member cannot use (a VQ residual stream's
+    literal count ``wide_n`` of -1, "x" or null) raises
+    ``DecompressionError``, not the builtin error it trips, through
+    every reader."""
+
+    @pytest.mark.parametrize("case", sorted(FORGED_WIDE_N))
+    def test_readers(self, forged_payloads, case):
+        blob = forged_payloads[case]
+        for read in (
+            lambda: read_container(blob),
+            lambda: read_container_batch(blob, 0),
+            lambda: StreamingReader(blob).read_all(),
+        ):
+            with pytest.raises(DecompressionError, match="corrupt chunk"):
+                read()
 
 
 class TestMDZFrontEnd:

@@ -191,13 +191,17 @@ class TestRoundTripAlphabets:
 
 class TestEncodeTelemetry:
     def test_repeat_encode_hits_codebook_cache(self):
+        """A repeated encode is byte-identical; the codebook cache is the
+        decoder's, so decoding the repeat hits it."""
         clear_codebook_caches()
         rng = np.random.default_rng(11)
         data = rng.integers(-40, 40, 30_000)
         with recording() as rec:
             first = HuffmanCodec.encode(data)
+            HuffmanCodec.decode(first)
             after_first = rec.snapshot()["counters"]
             second = HuffmanCodec.encode(data)
+            HuffmanCodec.decode(second)
             counters = rec.snapshot()["counters"]
         assert first == second
         assert after_first["sz.huffman.cache.miss"] == 1

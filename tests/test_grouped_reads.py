@@ -1,9 +1,9 @@
 """Grouped reads: one entropy pass per group of buffers.
 
-Every full read (``StreamingReader.read_all``/``iter_buffers``, MDZ1
-``read_container``) cuts the stream into groups of consecutive buffers
-by :data:`repro.io.container.GROUP_VALUES`; random access decodes
-buffer 0 and the target as one group.  Whatever the grouping, the
+Every full read (``StreamingReader.read_all``/``iter_buffers``, which
+``read_container`` calls for both generations) cuts the stream into
+groups of consecutive buffers by :data:`repro.io.container.GROUP_VALUES`;
+random access decodes buffer 0 and the target as one group.  Whatever the grouping, the
 arrays must equal a decode that gives every buffer a group of its own.
 """
 
@@ -16,7 +16,7 @@ import repro.io.container as container
 from repro.core.config import MDZConfig
 from repro.core.mdz import MDZ
 from repro.io.container import (
-    _open_container,
+    open_layout,
     read_container,
     read_container_batch,
 )
@@ -126,7 +126,7 @@ def test_one_entropy_pass_per_group(archives, monkeypatch):
 )
 def test_mdz1_fixtures_group_identically(fixture, monkeypatch):
     blob = (MDZ1_FIXTURES / fixture).read_bytes()
-    header, _, _ = _open_container(blob)
+    header = open_layout(blob).header
     n_batches = -(-int(header["snapshots"]) // int(header["buffer_size"]))
     monkeypatch.setattr(container, "GROUP_VALUES", 1)
     alone = read_container(blob)

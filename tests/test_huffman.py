@@ -664,19 +664,15 @@ class TestCodebookCache:
             snap = rec.snapshot()["counters"]
         assert first == second
         assert snap["sz.huffman.cache.miss"] == miss_after_first
-        assert snap.get("sz.huffman.cache.hit", 0) >= 2
+        assert snap.get("sz.huffman.cache.hit", 0) == 1
 
     def test_clear_resets(self):
-        from repro.sz.huffman import (
-            _DECODE_CACHE,
-            _ENCODE_CACHE,
-            clear_codebook_caches,
-        )
+        from repro.sz.huffman import _DECODE_CACHE, clear_codebook_caches
 
         HuffmanCodec.decode(HuffmanCodec.encode(np.arange(100)))
-        assert len(_ENCODE_CACHE) > 0
+        assert len(_DECODE_CACHE) > 0
         clear_codebook_caches()
-        assert len(_ENCODE_CACHE) == 0 and len(_DECODE_CACHE) == 0
+        assert len(_DECODE_CACHE) == 0
 
     def test_different_histograms_do_not_collide(self):
         from repro.sz.huffman import clear_codebook_caches

@@ -622,6 +622,25 @@ class TestStructuredErrors:
                 "decompression_failed",
             ), (case, error)
 
+    def test_forged_payloads_are_decompression_failed(self, forged_payloads):
+        """A forged member payload field is the archive's fault: 400
+        ``decompression_failed``, never 500."""
+
+        async def main():
+            async with running_service() as svc:
+                async with ServiceClient("127.0.0.1", svc.port) as client:
+                    return {
+                        case: await client.request(
+                            "POST", "/v1/decompress", {}, blob
+                        )
+                        for case, blob in forged_payloads.items()
+                    }
+
+        for case, resp in run(main()).items():
+            error = resp.json()["error"]
+            assert resp.status == 400, (case, error)
+            assert error["code"] == "decompression_failed", (case, error)
+
     def test_unknown_routes_and_methods(self):
         async def main():
             async with running_service() as svc:

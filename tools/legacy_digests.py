@@ -102,26 +102,13 @@ def load(root: Path) -> dict:
 def payloads(blob: bytes) -> tuple[dict, int, dict]:
     """``(header, snapshots, {(buffer, axis): payload})`` of an archive
     of either generation."""
-    from repro.io.container import container_version
-    from repro.serde import BlobReader
-    from repro.stream.format import chunk_payload, parse_stream
+    from repro.io.container import open_layout
+    from repro.stream.format import chunk_payload
 
-    if container_version(blob) == 2:
-        layout = parse_stream(blob)
-        return layout.header, layout.snapshots, {
-            (c.buffer_index, c.axis): chunk_payload(blob, c)
-            for c in layout.chunks
-        }
-    reader = BlobReader(blob)
-    reader.read_bytes()  # magic
-    header = reader.read_json()
-    index = reader.read_json()
-    area = reader.read_bytes()
-    bounds = [int(o) for o in index["offsets"]] + [len(area)]
-    axes = int(header["axes"])
-    return header, int(header["snapshots"]), {
-        (i // axes, i % axes): area[bounds[i]:bounds[i + 1]]
-        for i in range(len(bounds) - 1)
+    layout = open_layout(blob)
+    return layout.header, layout.snapshots, {
+        (c.buffer_index, c.axis): chunk_payload(blob, c)
+        for c in layout.chunks
     }
 
 
