@@ -15,6 +15,14 @@ single vectorized pass, so a DP layer costs ``ceil(log2(N+1))`` NumPy
 passes rather than one Python iteration per prefix length — ample for the
 sampled inputs (at most 1536 points) the level detector feeds it.
 
+Small samples (at most ``DENSE_MAX_POINTS``) skip those dependent passes:
+each layer is one O(N^2) pass over the matrix of every ``Cost(l, r)``,
+built once per profile, that takes each row's first argmin.  When these
+argmins do not decrease in ``n``, every window the divide and conquer
+would search holds its row's argmin, so both give the same ``F``/``H``
+rows bit for bit.  A layer whose argmins do decrease (tie-heavy input
+can do that) is not certified and runs the divide and conquer instead.
+
 Indexing conventions: data is sorted ascending; ``F``/``H`` use 1-based
 prefix lengths as in the paper, while cluster boundaries are reported as
 0-based start indices.
@@ -26,6 +34,15 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
+
+#: Samples of at most this many points try each DP layer as one dense
+#: pass over every split (:func:`_dense_row`); larger samples, and any
+#: layer the dense pass cannot certify, run the divide and conquer.  On a
+#: 2-vCPU host, fits of synthetic 20-level samples (22 layers, median of
+#: 15) took 10.8 ms dense against 19.9 ms divide and conquer at 300
+#: points, 17.1 against 20.2 ms at 400 and 24.6 against 22.0 ms at 450:
+#: the two cross near 420 points.
+DENSE_MAX_POINTS = 384
 
 
 @dataclass(frozen=True)
@@ -123,6 +140,44 @@ def _dp_row(pc: _PrefixCost, f_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return f_cur, h_cur
 
 
+def _cost_matrix(pc: _PrefixCost) -> tuple[np.ndarray, np.ndarray]:
+    """``Cost(l, r)`` at ``[r, l]`` for every pair, and the mask of ``l > r``.
+
+    Entries come from :meth:`_PrefixCost.cost` itself, so each has the
+    bits ``_dp_row`` computes for that pair.
+    """
+    ends = np.arange(pc.n)
+    return pc.cost(ends, ends[:, None]), ends > ends[:, None]
+
+
+def _dense_row(
+    cost: np.ndarray, empty: np.ndarray, f_prev: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """One DP layer over every candidate split, or None if uncertified.
+
+    ``totals[r, l] = F(l, k-1) + Cost(l, r)``; the cells with ``l > r``
+    are set to +inf after the add, so a NaN in the tail of ``F(., k-1)``
+    is never picked.  Each row's first argmin (a NaN counts as one, as in
+    ``np.argmin``) is the global first argmin.  The layer is certified
+    only when these argmins do not decrease as ``r`` grows.  Then the
+    rows equal ``_dp_row``'s bit for bit: each window it searches is
+    bounded by its picks for a row above and a row below, which by
+    induction are the global argmins, so the window brackets its own
+    row's global argmin and its first minimum is that argmin.
+    """
+    n = cost.shape[0]
+    totals = f_prev[:n] + cost
+    np.copyto(totals, np.inf, where=empty)
+    best = np.argmin(totals, axis=1)
+    if (best[1:] < best[:-1]).any():
+        return None
+    f_cur = np.full(n + 1, np.inf)
+    h_cur = np.zeros(n + 1, dtype=np.int64)
+    f_cur[1:] = totals[np.arange(n), best]
+    h_cur[1:] = best + 1
+    return f_cur, h_cur
+
+
 def _recover_boundaries(h_rows: list[np.ndarray], n: int, k: int) -> np.ndarray:
     """Walk ``H`` backwards to 0-based cluster start indices.
 
@@ -183,6 +238,10 @@ def kmeans_1d_cost_profile(
     The DP naturally produces ``F(N, 1), F(N, 2), ...`` in order — the paper
     exploits exactly this to stop at the ``G(k)`` elbow.  After each layer
     the optional ``stop(costs_so_far)`` callback may return True to halt.
+    Up to ``DENSE_MAX_POINTS`` points, each layer is first tried as one
+    dense pass (:func:`_dense_row`) and falls back to :func:`_dp_row` when
+    the pass is not certified; larger inputs run :func:`_dp_row` only.
+    Either way the rows are the same.
 
     Returns ``(costs, h_rows, sorted_data)``; pass the latter two to
     :func:`clustering_for_k` to materialize the clustering for any computed
@@ -199,8 +258,10 @@ def kmeans_1d_cost_profile(
     f[1:] = pc.cost(np.zeros(n, dtype=np.int64), np.arange(n))
     costs = [float(f[n])]
     h_rows: list[np.ndarray] = []
+    dense = _cost_matrix(pc) if n <= DENSE_MAX_POINTS else None
     for _ in range(2, k_max + 1):
-        f, h = _dp_row(pc, f)
+        rows = None if dense is None else _dense_row(*dense, f)
+        f, h = _dp_row(pc, f) if rows is None else rows
         h_rows.append(h)
         costs.append(float(f[n]))
         if stop is not None and stop(np.asarray(costs)):

@@ -238,7 +238,7 @@ class MDZAxisCompressor(Compressor):
 
 
 @contextlib.contextmanager
-def _forged_fields():
+def forged_fields():
     """Raise :class:`DecompressionError` for the builtin error a forged
     payload field trips: a missing key, a mistyped or negative count, a
     short array."""
@@ -272,7 +272,7 @@ def decompress_chunks(
     for session, blob in items:
         start = time.perf_counter()
         state = session._require_state()
-        with _forged_fields():
+        with forged_fields():
             reader = BlobReader(lossless_decompress(blob))
             method_id = int(reader.read_json()["m"])
             try:
@@ -287,7 +287,7 @@ def decompress_chunks(
     batch.decode()
     for state, reconstruct, parse_s in steps:
         start = time.perf_counter()
-        with _forged_fields():
+        with forged_fields():
             out = reconstruct()
         if state.reference is None:
             state.reference = out[0].copy()

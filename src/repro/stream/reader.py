@@ -40,6 +40,7 @@ from typing import Iterator
 
 import numpy as np
 
+from ..core.mdz import forged_fields
 from ..core.methods import METHOD_NAMES
 from ..exceptions import ContainerFormatError
 from ..io.container import (
@@ -449,13 +450,15 @@ class StreamingReader:
 
     def container_info(self) -> ContainerInfo:
         """Header fields plus the method tag of every indexed chunk
-        (only each payload's tag is read, nothing is decoded)."""
+        (only each payload's tag is read, nothing is decoded).  A forged
+        tag raises :class:`DecompressionError`, as a full read would."""
         methods: list[dict[str, int]] = [dict() for _ in range(self.axes)]
         payload_bytes = 0
         for entry in self._layout.chunks:
             piece = fmt.chunk_payload(self._blob, entry)
             payload_bytes += len(piece)
-            tag = int(BlobReader(lossless_decompress(piece)).read_json()["m"])
+            with forged_fields():
+                tag = int(BlobReader(lossless_decompress(piece)).read_json()["m"])
             name = METHOD_NAMES.get(tag, f"?{tag}")
             methods[entry.axis][name] = methods[entry.axis].get(name, 0) + 1
         header = self._layout.header

@@ -156,6 +156,14 @@ HOSTILE_OFFSETS = {
 #: stream), keyed by case: negative, a string and null.
 FORGED_WIDE_N = {"negative": -1, "string": "x", "null": None}
 
+#: Forged method tags of a chunk payload, keyed by case: a string, null,
+#: and a tag without ``"m"``.
+FORGED_TAGS = {
+    "string": lambda tag: tag.update(m="x"),
+    "null": lambda tag: tag.update(m=None),
+    "missing": lambda tag: tag.pop("m"),
+}
+
 
 def _sections(meta, *blobs) -> bytes:
     """One JSON section followed by byte sections."""
@@ -179,6 +187,15 @@ def _forge_wide_n(payload: bytes, value) -> bytes:
     meta["wide_n"] = value
     residuals = _sections(meta, codes, side)
     return lossless_compress(_sections(tag, _sections(head, rel, residuals)))
+
+
+def _forge_tag(payload: bytes, edit) -> bytes:
+    """A chunk payload whose method tag JSON was edited in place by
+    ``edit(tag)``; the member payload behind it is kept as it is."""
+    chunk = BlobReader(lossless_decompress(payload))
+    tag, body = chunk.read_json(), chunk.read_bytes()
+    edit(tag)
+    return lossless_compress(_sections(tag, body))
 
 
 #: Hostile header counts, keyed by case: no or negative axes or atoms,
@@ -210,22 +227,40 @@ def forged_headers(trajectory) -> dict[str, tuple[str, bytes]]:
     }
 
 
+def _forge_first_chunk(blob: bytes, forge) -> bytes:
+    """``blob`` (MDZ2) with the payload of chunk (buffer 0, axis 0)
+    replaced by ``forge(payload)``."""
+
+    def edit(chunk, payload):
+        if (chunk.buffer_index, chunk.axis) != (0, 0):
+            return payload
+        return forge(payload)
+
+    return _rewrite_mdz2(blob, edit_payload=edit)
+
+
 @pytest.fixture
 def forged_payloads(trajectory) -> dict[str, bytes]:
     """``{case: archive}`` for every :data:`FORGED_WIDE_N` case: a VQ
     ``MDZ.compress`` archive of ``trajectory`` whose first chunk
     (buffer 0, axis 0) claims that ``wide_n``."""
     blob = MDZ(MDZConfig(buffer_size=4, method="vq")).compress(trajectory)
-    cases = {}
-    for case, value in FORGED_WIDE_N.items():
+    return {
+        case: _forge_first_chunk(blob, lambda p, v=value: _forge_wide_n(p, v))
+        for case, value in FORGED_WIDE_N.items()
+    }
 
-        def edit(chunk, payload, value=value):
-            if (chunk.buffer_index, chunk.axis) != (0, 0):
-                return payload
-            return _forge_wide_n(payload, value)
 
-        cases[case] = _rewrite_mdz2(blob, edit_payload=edit)
-    return cases
+@pytest.fixture
+def forged_tags(trajectory) -> dict[str, bytes]:
+    """``{case: archive}`` for every :data:`FORGED_TAGS` case: an
+    ``MDZ.compress`` archive of ``trajectory`` whose first chunk (buffer
+    0, axis 0) carries that forged method tag."""
+    blob = MDZ(MDZConfig(buffer_size=4)).compress(trajectory)
+    return {
+        case: _forge_first_chunk(blob, lambda p, e=edit: _forge_tag(p, e))
+        for case, edit in FORGED_TAGS.items()
+    }
 
 
 @pytest.fixture

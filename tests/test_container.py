@@ -24,6 +24,7 @@ from repro.io.container import (
 from repro.stream import StreamingReader, parse_stream
 
 from .conftest import (
+    FORGED_TAGS,
     FORGED_WIDE_N,
     HOSTILE_COUNTS,
     HOSTILE_OFFSETS,
@@ -230,6 +231,31 @@ class TestForgedPayloads:
         ):
             with pytest.raises(DecompressionError, match="corrupt chunk"):
                 read()
+
+
+class TestForgedTags:
+    """A chunk whose method tag is a string, null or missing raises
+    ``DecompressionError`` from ``read_container_info`` as from a full
+    read, and ``mdz info`` reports it as a clean error."""
+
+    @pytest.mark.parametrize("case", sorted(FORGED_TAGS))
+    def test_info(self, forged_tags, case):
+        blob = forged_tags[case]
+        for read in (
+            lambda: read_container_info(blob),
+            lambda: read_container(blob),
+        ):
+            with pytest.raises(DecompressionError, match="corrupt chunk"):
+                read()
+
+    @pytest.mark.parametrize("case", sorted(FORGED_TAGS))
+    def test_cli_info(self, forged_tags, case, tmp_path, capsys):
+        path = tmp_path / "forged.mdz"
+        path.write_bytes(forged_tags[case])
+        assert main(["info", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [decompression_failed] corrupt chunk")
+        assert "Traceback" not in err
 
 
 class TestMDZFrontEnd:

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from repro.cluster import kmeans1d
 from repro.cluster.kmeans1d import (
+    _cost_matrix,
+    _dense_row,
     _dp_row,
     _PrefixCost,
     clustering_for_k,
@@ -135,7 +137,8 @@ class TestCostProfile:
 
 def _stack_dp_row(pc: _PrefixCost, f_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The per-subproblem stack loop ``_dp_row`` replaced, kept verbatim
-    as the oracle the level-synchronous rows must equal bit for bit."""
+    as the oracle that the level-synchronous rows and the certified dense
+    rows must equal bit for bit."""
     n = pc.n
     f_cur = np.full(n + 1, np.inf)
     h_cur = np.zeros(n + 1, dtype=np.int64)
@@ -163,6 +166,21 @@ def _checked_dp_row(pc, f_prev):
     assert np.array_equal(f_cur, f_want, equal_nan=True)
     assert np.array_equal(h_cur, h_want)
     return f_cur, h_cur
+
+
+def _checked_layer(pc, f_prev, dense):
+    """``_checked_dp_row``, and the dense layer on the same ``F(., k-1)``:
+    where it is certified, its rows must equal the oracle's too.
+
+    Returns the oracle-checked rows and whether the dense layer was
+    certified (an uncertified one returns None instead of rows).
+    """
+    f_cur, h_cur = _checked_dp_row(pc, f_prev)
+    rows = _dense_row(*dense, f_prev)
+    if rows is not None:
+        assert np.array_equal(rows[0], f_cur, equal_nan=True)
+        assert np.array_equal(rows[1], h_cur)
+    return f_cur, h_cur, rows is not None
 
 
 #: Tie-heavy inputs: small integers, constant runs, and rounded floats.
@@ -195,15 +213,17 @@ class TestLevelSynchronousRows:
     @settings(max_examples=60, deadline=None)
     def test_tie_heavy_rows_match_stack_loop(self, values, k_max):
         pc, f = _first_layer(values)
+        dense = _cost_matrix(pc)
         for _ in range(2, min(k_max, pc.n) + 1):
-            f, _ = _checked_dp_row(pc, f)
+            f, _, _ = _checked_layer(pc, f, dense)
 
     def test_layers_with_infinite_f0_match(self, rng):
         pc, f = _first_layer(np.repeat(rng.integers(0, 9, 40), 3))
+        dense = _cost_matrix(pc)
         for k in range(2, 9):
             if k >= 3:
                 assert np.isinf(f[0])
-            f, _ = _checked_dp_row(pc, f)
+            f, _, _ = _checked_layer(pc, f, dense)
             # F(n, k) is infinite exactly for the prefixes too short to
             # fill k - 1 clusters before the last one.
             assert np.isinf(f[: k - 1]).all() and np.isfinite(f[k - 1 :]).all()
@@ -213,16 +233,40 @@ class TestLevelSynchronousRows:
         [
             [1e200, -1e200, 0.0, 1.0, 2.0, 3.0, 3.0, 5.0],  # d * d overflows
             [np.inf, 0.0, 1.0, 2.0, 2.0, 7.0],
+            [0.0, 1.0, 2.0, 3.0, 1e155, 2e155],  # overflow at the tail only
+            [-4.0, 0.0, 0.0, 1.0, 1.0, 2.0, 3.0, 5.0, 8e154, 1e155],
         ],
     )
     def test_nan_costs_pick_the_first_nan(self, values):
         """Non-finite prefix sums make NaN costs; ``np.argmin`` takes a
-        window's first NaN, and so must the level-synchronous pass."""
+        window's first NaN, and so must the level-synchronous pass and
+        the dense layer."""
         with np.errstate(over="ignore", invalid="ignore"):
             pc, f = _first_layer(values)
+            dense = _cost_matrix(pc)
             for _ in range(2, 5):
-                f, _ = _checked_dp_row(pc, f)
+                f, _, _ = _checked_layer(pc, f, dense)
         assert np.isnan(f).any()
+
+    @pytest.mark.parametrize(
+        "values", [[1.0] * 4 + [1e155, 2e155], [-3.0] * 7 + [1e155, 2e155]]
+    )
+    def test_dense_layer_never_picks_an_empty_cluster(self, values):
+        """Two overflowing values at the tail make ``F(., 1)`` NaN beyond
+        a finite prefix, so the cells with ``l > r`` hold NaN until they
+        are masked.  A NaN there would be its row's first and break the
+        certificate; masked, every row picks a real split, the layer is
+        certified and equals the oracle."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            pc, f = _first_layer(values)
+            tail = pc.n - 1
+            assert np.isfinite(f[:tail]).all() and np.isnan(f[tail:]).all()
+            rows = _dense_row(*_cost_matrix(pc), f)
+            f_want, h_want = _stack_dp_row(pc, f)
+        assert rows is not None
+        assert (rows[1][1:] <= np.arange(1, pc.n + 1)).all()
+        assert np.array_equal(rows[0], f_want, equal_nan=True)
+        assert np.array_equal(rows[1], h_want)
 
     def test_level_detect_profile_matches(self, rng, monkeypatch):
         levels = rng.integers(0, 12, MAX_SAMPLE_POINTS) * 1.8
@@ -232,3 +276,78 @@ class TestLevelSynchronousRows:
         # Twelve levels: the stop rule only halts past that elbow, so
         # every layer up to it went through the oracle check.
         assert len(h_rows) >= 12
+
+
+#: Rounded floats whose layer 7 has decreasing global first argmins:
+#: there the dense layer differs from the divide and conquer in 2 rows.
+_UNCERTIFIED = np.round(np.random.default_rng(33).uniform(-20, 20, 300), 1)
+
+
+def _clustered_sample(n, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 8, n) * 1.8 + rng.normal(0.0, 0.04, n)
+
+
+def _raise(*args):
+    raise AssertionError("this path must not run")
+
+
+class TestDenseLayers:
+    """Small samples try each layer densely; the rows never change."""
+
+    def test_uncertified_layer_falls_back(self, monkeypatch):
+        pc, f = _first_layer(_UNCERTIFIED)
+        dense = _cost_matrix(pc)
+        certified = []
+        for _ in range(2, 11):
+            f, _, ok = _checked_layer(pc, f, dense)
+            certified.append(ok)
+        assert certified == [k != 7 for k in range(2, 11)]
+        calls = []
+
+        def counted_dp_row(pc, f_prev):
+            calls.append(pc.n)
+            return _dp_row(pc, f_prev)
+
+        monkeypatch.setattr(kmeans1d, "_dp_row", counted_dp_row)
+        costs, h_rows, _ = kmeans_1d_cost_profile(_UNCERTIFIED, 10)
+        assert len(calls) == 1
+        monkeypatch.setattr(kmeans1d, "DENSE_MAX_POINTS", 0)
+        want_costs, want_rows, _ = kmeans_1d_cost_profile(_UNCERTIFIED, 10)
+        assert len(calls) == 10
+        assert np.array_equal(costs, want_costs)
+        assert len(h_rows) == len(want_rows) == 9
+        for got, want in zip(h_rows, want_rows):
+            assert np.array_equal(got, want)
+
+    def test_small_sample_runs_no_divide_and_conquer(self, monkeypatch):
+        sample = _clustered_sample(104)
+        with monkeypatch.context() as patch:
+            patch.setattr(kmeans1d, "DENSE_MAX_POINTS", 0)
+            want_costs, want_rows, _ = kmeans_1d_cost_profile(
+                sample, 150, stop=_stop_rule
+            )
+        monkeypatch.setattr(kmeans1d, "_dp_row", _raise)
+        costs, h_rows, _ = kmeans_1d_cost_profile(sample, 150, stop=_stop_rule)
+        assert len(h_rows) == len(want_rows) >= 8
+        assert np.array_equal(costs, want_costs)
+        for got, want in zip(h_rows, want_rows):
+            assert np.array_equal(got, want)
+
+    def test_large_sample_runs_no_dense_layer(self, monkeypatch):
+        sample = _clustered_sample(kmeans1d.DENSE_MAX_POINTS + 1)
+        monkeypatch.setattr(kmeans1d, "_dense_row", _raise)
+        monkeypatch.setattr(kmeans1d, "_cost_matrix", _raise)
+        _, h_rows, _ = kmeans_1d_cost_profile(sample, 150, stop=_stop_rule)
+        assert len(h_rows) >= 8
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17])
+    def test_profiles_match_divide_and_conquer(self, n, monkeypatch):
+        sample = _clustered_sample(n, seed=n)
+        costs, h_rows, _ = kmeans_1d_cost_profile(sample, 12)
+        monkeypatch.setattr(kmeans1d, "DENSE_MAX_POINTS", 0)
+        want_costs, want_rows, _ = kmeans_1d_cost_profile(sample, 12)
+        assert np.array_equal(costs, want_costs)
+        assert len(h_rows) == len(want_rows)
+        for got, want in zip(h_rows, want_rows):
+            assert np.array_equal(got, want)
