@@ -5,8 +5,8 @@ across a worker pool changes *nothing* about the output: the ``MDZ2``
 container produced with ``workers=4`` is byte-identical to the serial
 one.  This benchmark verifies that on a Copper-like dataset and records
 the end-to-end throughput of both modes over the shared-memory transport
-(payloads in ring slots, worker session caches keyed by state digest,
-one IPC round trip per flush).  The speedup assertion only runs on hosts
+(payloads in ring slots, session clones cached per worker under their
+segment's name, one IPC round trip per flush).  The speedup assertion only runs on hosts
 with enough cores — on a single-core box the pool cannot physically win
 — but byte identity is checked everywhere.
 

@@ -33,15 +33,6 @@ class SessionLevelModel:
         """The cached fit, or ``None`` before any VQ-family encode."""
         return self._fit
 
-    def seed(self, fit: LevelFit) -> None:
-        """Adopt a fit computed elsewhere.
-
-        The streaming executor uses this to hand a worker session the level
-        model the parent session fitted on the first buffer, so out-of-order
-        workers produce byte-identical VQ/VQT payloads.
-        """
-        self._fit = fit
-
     def fit_for(self, snapshot: np.ndarray) -> LevelFit:
         """Return the cached fit, computing it from ``snapshot`` if needed.
 

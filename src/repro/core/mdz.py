@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import time
+from dataclasses import replace
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -51,10 +52,16 @@ class MDZAxisCompressor(Compressor):
         self.name = (
             "mdz" if self.config.method == "adp" else f"mdz-{self.config.method}"
         )
-        # Buffer-isolated members decode any buffer without replaying
-        # the session (VQ by design, interp because its cascade roots
-        # are Lorenzo-bootstrapped per buffer).
-        self.supports_random_access = self.config.method in ("vq", "interp")
+        # A buffer decodes without buffer 0 when no member that can code
+        # it reads the session reference (``needs_reference``).
+        members = (
+            self.config.adp_members
+            if self.config.method == "adp"
+            else (self.config.method,)
+        )
+        self.supports_random_access = not any(
+            method_entry(name).needs_reference for name in members
+        )
         self._state: MethodState | None = None
         self._selector: ADPSelector | None = None
 
@@ -140,10 +147,10 @@ class MDZAxisCompressor(Compressor):
     #
     # After the first buffer an MDZ session is effectively frozen: the
     # reference snapshot and the level model are fitted once and never
-    # change, and only ADP's buffer counter advances.  The streaming
-    # executor exploits that: it exports the frozen state, ships it to a
-    # worker process, and encodes later buffers out-of-session with
-    # byte-identical results.
+    # change, and only ADP's buffer counter advances.  A clone of the
+    # session therefore codes every later buffer exactly as the session
+    # would: the streaming writer pickles one to its worker pool, and the
+    # quality auditor decodes sampled chunks with one.
 
     def pending_method(self) -> str | None:
         """The method the next buffer will be coded with, if it can be
@@ -158,60 +165,25 @@ class MDZAxisCompressor(Compressor):
             return None
         return self._selector.current
 
-    def export_session_state(self, method: str):
-        """The frozen state for out-of-session encoding with ``method``,
-        plus its identity digest: ``(reference, level_fit, digest)``.
+    def clone(self, method: str | None = None) -> "MDZAxisCompressor":
+        """A fresh session with this one's config, bound and meta, and
+        its state as :meth:`MethodState.clone_for_trial
+        <repro.core.methods.MethodState.clone_for_trial>` copies it: the
+        reference is copied, the level model shared.  ``method``, when
+        given, fixes the clone's method.
 
-        ``reference`` is included only for members whose registry entry
-        sets ``needs_reference`` (MT and bitadaptive — the ones that
-        read it), so VQ/VQT/interp state stays a few hundred bytes.  ``digest`` is a
-        BLAKE2b hash over every input that shapes the encoded bytes: the
-        method, the session configuration (bound, quantizer scale,
-        sequence mode, lossless backend, level seed, entropy fan-out,
-        atom count) and the exported state content itself.  Equal digests
-        therefore guarantee byte-identical out-of-session encoding, which
-        is what lets worker processes key persistent session caches on
-        it (:func:`repro.stream.executor._session_for`).
+        This is the only way a session leaves its owner: the streaming
+        writer pickles ``clone(method)`` for its worker pool, and the
+        quality auditor decodes with ``clone()``.
         """
-        import hashlib
-
         state = self._require_state()
-        needs_reference = method_entry(method).needs_reference
-        reference = state.reference if needs_reference else None
-        fit = state.levels.fit
-        h = hashlib.blake2b(digest_size=16)
-        h.update(
-            repr(
-                (
-                    method,
-                    self.config.quantization_scale,
-                    self.config.sequence_mode,
-                    self.config.lossless_backend,
-                    self.config.level_seed,
-                    self.config.entropy_streams,
-                    self.meta.n_atoms,
-                )
-            ).encode()
-        )
-        h.update(np.float64(self.error_bound).tobytes())
-        if reference is not None:
-            h.update(repr(reference.shape).encode())
-            h.update(np.ascontiguousarray(reference).tobytes())
-        if fit is not None:
-            h.update(
-                np.float64([fit.lam, fit.mu, fit.residual]).tobytes()
-            )
-            h.update(repr((fit.k, fit.centroids.shape)).encode())
-            h.update(np.ascontiguousarray(fit.centroids).tobytes())
-        return reference, fit, h.hexdigest()
-
-    def seed_session(self, reference, level_fit) -> None:
-        """Adopt cross-buffer state exported from another session."""
-        state = self._require_state()
-        if reference is not None:
-            state.reference = np.asarray(reference, dtype=np.float64)
-        if level_fit is not None:
-            state.levels.seed(level_fit)
+        config = self.config
+        if method is not None:
+            config = replace(config, method=method)
+        twin = MDZAxisCompressor(config)
+        twin.begin(self.error_bound, self.meta)
+        twin._state = state.clone_for_trial()
+        return twin
 
     def note_external_buffer(self) -> None:
         """Account for one buffer encoded out-of-session (keeps the ADP
@@ -219,22 +191,6 @@ class MDZAxisCompressor(Compressor):
         self._require_state()
         if self.config.method == "adp":
             self._selector.note_external()
-
-    def audit_decoder(self) -> "MDZAxisCompressor":
-        """A fresh decode-only session mirroring this one's frozen state.
-
-        Built the way a real :class:`~repro.stream.reader.StreamingReader`
-        rebuilds a decode session — same config, same resolved bound,
-        seeded with the frozen reference snapshot and level fit — so the
-        quality auditor (:mod:`repro.telemetry.quality`) round-trips a
-        blob through exactly the bytes-to-values path a reader would use,
-        not through this session's private encoder-side state.
-        """
-        state = self._require_state()
-        decoder = MDZAxisCompressor(self.config)
-        decoder.begin(self.error_bound, self.meta)
-        decoder.seed_session(state.reference, state.levels.fit)
-        return decoder
 
 
 @contextlib.contextmanager
@@ -335,8 +291,9 @@ class MDZ:
     def decompress_batch(self, blob: bytes, batch_index: int) -> np.ndarray:
         """Decode a single buffer (all axes) from a container.
 
-        Random access is cheap for VQ-coded buffers; for VQT/MT the decoder
-        still only touches the buffers needed to rebuild the reference.
+        A buffer decodes alone unless a member that can code it reads the
+        session reference (MT, bitadaptive); then buffer 0 is decoded
+        with it to rebuild the reference.
         """
         from ..io.container import read_container_batch
 

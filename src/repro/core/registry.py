@@ -41,10 +41,11 @@ DEFAULT_MEMBERS = ("vq", "vqt", "mt")
 class MethodEntry:
     """One registered compression member.
 
-    ``needs_reference`` marks members whose encode reads the session
-    reference snapshot: the streaming writer ships the reference to
-    worker processes only for these
-    (:meth:`~repro.core.mdz.MDZAxisCompressor.export_session_state`).
+    ``needs_reference`` marks members whose encode and decode read the
+    session reference snapshot.  It is the one input of the random-access
+    rule: a session whose members all leave it unset decodes any buffer
+    without buffer 0
+    (:attr:`~repro.core.mdz.MDZAxisCompressor.supports_random_access`).
     """
 
     name: str

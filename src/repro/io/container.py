@@ -400,9 +400,10 @@ def read_container_info(blob: bytes) -> ContainerInfo:
 def read_container_batch(blob: bytes, batch_index: int) -> np.ndarray:
     """Decode one buffer (all axes) from a container.
 
-    Archives of the fixed VQ method decode the target alone; otherwise
-    buffer 0 joins the target's entropy pass to rebuild the MT/VQT
-    session reference.
+    The target decodes alone when no member that can code it reads the
+    session reference (fixed VQ, VQT or interp, or an ADP pool of
+    those); otherwise buffer 0 joins the target's entropy pass to
+    rebuild the MT/bitadaptive reference.
     """
     from ..stream.reader import StreamingReader
 

@@ -4,8 +4,9 @@ The streaming writer produces compression jobs per buffer flush.  After a
 session's first buffer, MDZ's cross-buffer state is frozen (the level
 model and MT reference are fitted once; only ADP's trial counter
 advances), so non-trial buffers can be encoded *out of session* by a
-worker process given a small state snapshot (:class:`AxisJobSpec`) — with
-byte-identical output.  :class:`ParallelExecutor` fans those jobs across a
+worker process given a clone of the session
+(:meth:`~repro.core.mdz.MDZAxisCompressor.clone`) — with byte-identical
+output.  :class:`ParallelExecutor` fans those jobs across a
 ``multiprocessing`` pool while preserving three invariants:
 
 * **ordering** — results come back strictly in submission order, so the
@@ -27,12 +28,11 @@ Shared memory is the only way a job reaches a worker:
   (:meth:`ParallelExecutor.acquire_slot`), so the producer pays one
   memcpy per flush and the worker reads the bytes in place;
 * **persistent worker sessions** — each :class:`AxisJobSpec` names a
-  segment holding the pickled frozen session state (published once per
-  state digest, :meth:`ParallelExecutor.publish`) and carries its
-  BLAKE2b digest; workers cache the rebuilt
-  :class:`~repro.core.mdz.MDZAxisCompressor` keyed by that digest
-  (``stream.executor.state_cache.hit``/``miss``), so the state is
-  unpickled once per session per worker, not once per job;
+  segment holding a pickled session clone (published once per axis and
+  method, :meth:`ParallelExecutor.publish`); workers cache the unpickled
+  :class:`~repro.core.mdz.MDZAxisCompressor` under the segment's name
+  (``stream.executor.state_cache.hit``/``miss``), so a session is
+  unpickled once per worker, not once per job;
 * **batched dispatch** — the writer submits one :class:`FlushJobSpec`
   per flush (all axes in a single :func:`encode_flush` call), one IPC
   round trip instead of one per axis.
@@ -59,8 +59,6 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from ..baselines.api import SessionMeta
-from ..core.config import MDZConfig
 from ..core.mdz import MDZAxisCompressor
 from ..telemetry import get_recorder
 from ..telemetry.logging import get_logger
@@ -109,6 +107,7 @@ def _create_segment(nbytes: int):
 
 def _destroy_segment(seg) -> None:
     _LOCAL_SEGMENTS.pop(seg.name, None)
+    _SESSIONS.pop(seg.name, None)
     try:
         seg.close()
         seg.unlink()
@@ -211,14 +210,12 @@ class _ShmSlot:
 class AxisJobSpec:
     """Everything a worker needs to encode one buffer of one axis.
 
-    The session configuration plus the frozen session state exported by
-    :meth:`~repro.core.mdz.MDZAxisCompressor.export_session_state`:
-    ``state_shm`` names the shared-memory segment holding the pickled
-    ``(reference, level_fit)`` pair — published once per digest by the
-    writer — and ``state_digest`` is its BLAKE2b digest.  Workers cache
-    the rebuilt session under the digest, so a spec whose digest the
-    worker has seen before costs no state transfer or session rebuild
-    at all.
+    ``session_shm`` names the shared-memory segment holding the pickled
+    :meth:`~repro.core.mdz.MDZAxisCompressor.clone` of the axis session,
+    its method fixed — published once per (axis, method) by the writer.
+    Workers cache the unpickled session under the segment's name, so a
+    spec whose segment the worker has seen before costs no transfer at
+    all.
 
     ``trace`` and ``telemetry`` carry the observability context across
     the process boundary: ``trace`` is a span-context token from
@@ -230,16 +227,7 @@ class AxisJobSpec:
     off, so the plain path stays a bare-bytes, zero-overhead job.
     """
 
-    method: str
-    error_bound: float
-    n_atoms: int
-    quantization_scale: int
-    sequence_mode: str
-    lossless_backend: str
-    level_seed: int
-    state_digest: str
-    state_shm: tuple  # (name, nbytes) of the pickled state
-    entropy_streams: int | None = None
+    session_shm: tuple  # (name, nbytes) of the pickled session clone
     trace: tuple | None = None
     telemetry: bool = False
 
@@ -259,64 +247,48 @@ class FlushJobSpec:
 
 # -- worker-side session cache ------------------------------------------
 #
-# Rebuilding an MDZAxisCompressor per job is pure overhead once the
-# session state is frozen: the same reference array and LevelFit are
-# unpickled and re-seeded thousands of times over a long trajectory.
-# Workers therefore keep the rebuilt sessions in a small per-process LRU
-# keyed by the spec's state digest.  The digest covers every field that
-# shapes the encoded bytes (see export_session_state), so a cache hit is
-# byte-identical to a rebuild by construction, and the methods never
-# mutate the frozen state after seeding — VQ/VQT read the cached level
-# fit, MT/bitadaptive read the reference — so reuse across jobs is
+# Unpickling a session per job is pure overhead once it is frozen, so
+# workers keep the unpickled clones in a small per-process LRU keyed by
+# the name of the segment that holds them.  The name is a safe key: the
+# executor keeps every published segment until its pool is closed or
+# terminated, so no name is reused while a worker can see it, and the
+# parent — the one process that outlives a pool, whose cache fills when
+# abandoned jobs re-run inline — drops an entry when its segment is
+# destroyed.  Every key therefore names a live segment holding exactly
+# that session.  The methods never mutate the frozen state — VQ/VQT read
+# the level fit, MT/bitadaptive the reference — so reuse across jobs is
 # safe.
 
 _SESSION_CACHE_MAX = 8
 _SESSIONS: "OrderedDict[str, MDZAxisCompressor]" = OrderedDict()
 
 
-def _build_session(spec: AxisJobSpec) -> MDZAxisCompressor:
-    config = MDZConfig(
-        error_bound=spec.error_bound,
-        error_bound_mode="absolute",
-        quantization_scale=spec.quantization_scale,
-        sequence_mode=spec.sequence_mode,
-        method=spec.method,
-        lossless_backend=spec.lossless_backend,
-        level_seed=spec.level_seed,
-        entropy_streams=spec.entropy_streams,
-    )
-    session = MDZAxisCompressor(config)
-    session.begin(spec.error_bound, SessionMeta(n_atoms=spec.n_atoms))
-    session.seed_session(*pickle.loads(shared_bytes(spec.state_shm)))
-    return session
-
-
 def _session_for(spec: AxisJobSpec) -> MDZAxisCompressor:
-    """The cached session for ``spec``, rebuilding on digest miss."""
-    digest = spec.state_digest
+    """The cached session for ``spec``, unpickled on a miss."""
+    name = spec.session_shm[0]
     recorder = get_recorder()
-    session = _SESSIONS.get(digest)
+    session = _SESSIONS.get(name)
     if session is not None:
-        _SESSIONS.move_to_end(digest)
+        _SESSIONS.move_to_end(name)
         recorder.count("stream.executor.state_cache.hit")
         return session
     recorder.count("stream.executor.state_cache.miss")
-    session = _build_session(spec)
-    _SESSIONS[digest] = session
+    session = pickle.loads(shared_bytes(spec.session_shm))
+    _SESSIONS[name] = session
     while len(_SESSIONS) > _SESSION_CACHE_MAX:
         _SESSIONS.popitem(last=False)
     return session
 
 
 def _encode(spec: AxisJobSpec, batch: np.ndarray) -> bytes:
-    """The bare encode: a fixed-method session seeded with the frozen
-    state (cached per digest), reusing the exact serial encode path —
-    which is what makes parallel output byte-identical to serial."""
+    """The bare encode: the fixed-method session clone (cached per
+    segment), reusing the exact serial encode path — which is what makes
+    parallel output byte-identical to serial."""
     return _session_for(spec).compress_batch(batch)
 
 
 def encode_axis_buffer(spec: AxisJobSpec, batch: np.ndarray):
-    """Encode one (B, N) buffer from a frozen state snapshot.
+    """Encode one (B, N) buffer with a clone of its session.
 
     Runs in worker processes (and inline when an abandoned pool's jobs
     are re-run).  With no observability context on the spec, returns the
@@ -575,8 +547,8 @@ class ParallelExecutor:
     def publish(self, payload: bytes) -> tuple | None:
         """Place session-lifetime ``payload`` bytes in a shared segment.
 
-        Used by the writer to ship the pickled frozen session state once
-        per (session, digest) instead of once per job.  The segment is
+        Used by the writer to ship a pickled session clone once per
+        (axis, method) instead of once per job.  The segment is
         owned by the executor and unlinked at ``close``/``terminate``.
         Returns the ``(name, nbytes)`` descriptor for
         :func:`shared_bytes`, or ``None`` when no live pool will take

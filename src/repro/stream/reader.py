@@ -6,9 +6,11 @@ everything below reads that layout.  Three access patterns:
 
 * :meth:`StreamingReader.read_all` — sequential full decode, sessions
   carried across buffers exactly like the writer's;
-* :meth:`StreamingReader.read_buffer` — random access to one buffer; VQ
-  archives decode it directly, other methods decode buffer 0 in the
-  same group to restore the session reference;
+* :meth:`StreamingReader.read_buffer` — random access to one buffer.
+  When no member that can code a buffer reads the session reference
+  (:attr:`~repro.core.mdz.MDZAxisCompressor.supports_random_access`:
+  fixed VQ, VQT or interp, or an ADP pool of those), the buffer decodes
+  alone; otherwise buffer 0 joins its group to restore the reference;
 * :meth:`StreamingReader.iter_buffers` — incremental consumption with
   bounded memory (the analysis-side half of the in-situ pipeline).
 
@@ -282,33 +284,26 @@ class StreamingReader:
         rows = self._chunk_map[(buffer_index, 0)].rows
         return np.empty((rows, self.atoms, self.axes), dtype=np.float64)
 
-    def _decode_buffer(self, buffer_index: int) -> np.ndarray:
-        """Decode one buffer whose chunks are all present (no range check).
-
-        VQ streams decode the target buffer directly; for the stateful
-        methods buffer 0 joins the target's group to restore the
-        reference.
-        """
-        sessions = decode_sessions(self._layout.header)
-        group = []
-        if buffer_index > 0 and self.method != "vq":
-            group.append((self._empty(0), self._chunks(0)))
-        group.append((self._empty(buffer_index), self._chunks(buffer_index)))
-        *_, out = decode_group(sessions, group)
-        return out
-
     def read_buffer(self, buffer_index: int) -> np.ndarray:
         """Decode one complete buffer to a ``(rows, atoms, axes)`` array.
 
-        Raises :class:`ContainerFormatError` when ``buffer_index`` is
-        outside the stream's complete-buffer prefix.
+        The target decodes alone when its sessions support random
+        access; otherwise buffer 0 joins the target's group to restore
+        the reference.  Raises :class:`ContainerFormatError` when
+        ``buffer_index`` is outside the stream's complete-buffer prefix.
         """
         if not 0 <= buffer_index < self._n_complete:
             raise ContainerFormatError(
                 f"buffer {buffer_index} out of range (stream has "
                 f"{self._n_complete} complete buffers)"
             )
-        return self._decode_buffer(buffer_index)
+        sessions = decode_sessions(self._layout.header)
+        group = []
+        if buffer_index > 0 and not sessions[0].supports_random_access:
+            group.append((self._empty(0), self._chunks(0)))
+        group.append((self._empty(buffer_index), self._chunks(buffer_index)))
+        *_, out = decode_group(sessions, group)
+        return out
 
     def iter_buffers(self) -> Iterator[np.ndarray]:
         """Yield every complete buffer in order, with persistent sessions."""
@@ -356,7 +351,9 @@ class StreamingReader:
 
         A buffer is known when any chunk or quarantined frame names its
         index; buffers in between with nothing surviving are included
-        with ``rows_assumed=True`` (the header's ``buffer_size``).
+        with ``rows_assumed=True`` (the header's ``buffer_size``).  A
+        complete buffer is decodable when it is buffer 0, when buffer 0
+        is complete, or when the decode sessions support random access.
         """
         known_rows: dict[int, int] = {}
         present: dict[int, set[int]] = {}
@@ -367,7 +364,10 @@ class StreamingReader:
             if q.buffer_index is not None and q.rows is not None:
                 known_rows.setdefault(q.buffer_index, q.rows)
         n_known = max(known_rows, default=-1) + 1
-        buffer0_complete = len(present.get(0, ())) == self.axes
+        later_decodable = (
+            len(present.get(0, ())) == self.axes
+            or decode_sessions(self._layout.header)[0].supports_random_access
+        )
         statuses: list[BufferStatus] = []
         start = 0
         for b in range(n_known):
@@ -377,9 +377,7 @@ class StreamingReader:
                 rows = self.buffer_size
             axes_present = tuple(sorted(present.get(b, ())))
             complete = len(axes_present) == self.axes
-            decodable = complete and (
-                b == 0 or self.method == "vq" or buffer0_complete
-            )
+            decodable = complete and (b == 0 or later_decodable)
             statuses.append(
                 BufferStatus(
                     index=b,
@@ -433,18 +431,23 @@ class StreamingReader:
         """Yield ``(buffer_index, first_snapshot, array)`` per decodable buffer.
 
         Decodes every buffer the salvage scan left intact — including
-        buffers *after* a damaged region (stateful methods re-prime from
-        buffer 0 per buffer, so a mid-stream gap does not poison what
-        follows).  ``first_snapshot`` is the buffer's global snapshot
-        offset from :meth:`salvage_report`.
+        buffers *after* a damaged region — in order, through the grouped
+        loop with one set of sessions, as :meth:`read_all` does.  A gap
+        does no harm: the reference comes only from buffer 0, which
+        decodes first whenever a later buffer needs it.
+        ``first_snapshot`` is the buffer's global snapshot offset from
+        :meth:`salvage_report`.
         """
-        for status in self._buffer_statuses():
-            if status.decodable:
-                yield (
-                    status.index,
-                    status.snapshot_range[0],
-                    self._decode_buffer(status.index),
-                )
+        statuses = [s for s in self._buffer_statuses() if s.decodable]
+        arrays = decode_buffers(
+            decode_sessions(self._layout.header),
+            (
+                (self._empty(status.index), self._chunks(status.index))
+                for status in statuses
+            ),
+        )
+        for status, array in zip(statuses, arrays):
+            yield status.index, status.snapshot_range[0], array
 
     # -- inspection -----------------------------------------------------
 

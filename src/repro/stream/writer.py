@@ -22,13 +22,13 @@ Each buffer is encoded by its own per-axis session unless a live worker
 pool takes it.  With ``workers >= 2`` a
 :class:`~repro.stream.executor.ParallelExecutor` pool receives every
 non-trial buffer as one batched job per flush — the batch crosses the
-process boundary through a shared-memory slot and workers reuse cached
-sessions keyed by a state digest — and is byte-identical to the
-in-session encode by construction.  The first buffer and ADP trial
-buffers (they establish or update cross-buffer state) always run in
-session, and so does every buffer of a serial writer, of a pool that
-failed to start or was abandoned, and of a flush whose shared memory
-cannot be created.
+process boundary through a shared-memory slot, and workers encode with
+a clone of the axis session, published once per (axis, method) — and is
+byte-identical to the in-session encode by construction.  The first
+buffer and ADP trial buffers (they establish or update cross-buffer
+state) always run in session, and so does every buffer of a serial
+writer, of a pool that failed to start or was abandoned, and of a flush
+whose shared memory cannot be created.
 
 Crash safety: chunk frames are committed atomically against a *fence* —
 the end of the last fully written frame.  A chunk write that fails with
@@ -202,8 +202,9 @@ class StreamingWriter:
         # Sampled round-trip auditing; deterministic by buffer index so
         # serial and parallel runs audit identical chunks.
         self.auditor = QualityAuditor(self.config.audit_interval)
-        # Shared-memory handles of published session state, per digest.
-        self._state_handles: dict[str, tuple] = {}
+        # Shared-memory handles of published session clones, per
+        # (axis, method).
+        self._session_handles: dict[tuple[int, str], tuple] = {}
         self._buffer: list[np.ndarray] = []
         self._pending: deque[_PendingChunk] = deque()
         self._chunks: list[fmt.ChunkEntry] = []
@@ -409,8 +410,8 @@ class StreamingWriter:
             for a in range(batch.shape[2]):
                 session = self._sessions[a]
                 # Sampled buffers keep a copy of their original values
-                # until the encoded chunk lands (see _collect); the stash
-                # is the only extra memory auditing costs.
+                # until the buffer's last chunk lands (see _collect); the
+                # stash is the only extra memory auditing costs.
                 self.auditor.stash(self._buffer_index, a, axes_block[a])
                 # The first buffer and ADP trials (no pending method)
                 # establish or update cross-buffer state, so they run in
@@ -456,34 +457,27 @@ class StreamingWriter:
     def _job_spec(
         self, axis: int, session: MDZAxisCompressor, method: str, recorder
     ) -> AxisJobSpec | None:
-        """The pool job spec for one axis, or ``None`` when its state
+        """The pool job spec for one axis, or ``None`` when its session
         cannot be published (the axis is then encoded in session).
 
-        The frozen session state is pickled and published to a
-        shared-memory segment once per state digest; workers cache the
-        rebuilt session under the digest, so most jobs transfer nothing
-        at all.
+        ``session.clone(method)`` is pickled to a shared-memory segment
+        once per (axis, method); workers cache the unpickled clone under
+        the segment's name, so most jobs transfer nothing at all.  A spec
+        exists only once :meth:`~MDZAxisCompressor.pending_method` names
+        a method, which is after buffer 0, and from then on the reference
+        and the level fit never change: every trial that fits levels runs
+        at buffer 0.  So a published clone stays valid for the session.
         """
-        reference, level_fit, digest = session.export_session_state(method)
-        handle = self._state_handles.get(digest)
+        handle = self._session_handles.get((axis, method))
         if handle is None:
             handle = self._executor.publish(
-                pickle.dumps((reference, level_fit), pickle.HIGHEST_PROTOCOL)
+                pickle.dumps(session.clone(method), pickle.HIGHEST_PROTOCOL)
             )
             if handle is None:
                 return None
-            self._state_handles[digest] = handle
+            self._session_handles[(axis, method)] = handle
         return AxisJobSpec(
-            method=method,
-            error_bound=session.error_bound,
-            n_atoms=self._shape[0],
-            quantization_scale=self.config.quantization_scale,
-            sequence_mode=self.config.sequence_mode,
-            lossless_backend=self.config.lossless_backend,
-            level_seed=self.config.level_seed,
-            state_digest=digest,
-            state_shm=handle,
-            entropy_streams=self.config.entropy_streams,
+            session_shm=handle,
             # Span token: the worker's root span re-parents under this
             # flush (None on non-tracing recorders).
             trace=recorder.export_token(
@@ -552,15 +546,12 @@ class StreamingWriter:
                 if recorder.enabled:
                     recorder.count("stream.chunks_written")
                     recorder.count("stream.chunk_bytes", written)
-                original = self.auditor.pop(meta.buffer_index, meta.axis)
-                if original is not None:
-                    report = self.auditor.audit(
-                        self._sessions[meta.axis],
-                        blob,
-                        original,
-                        buffer_index=meta.buffer_index,
-                        axis=meta.axis,
-                    )
+                for report in self.auditor.land(
+                    self._sessions[meta.axis],
+                    blob,
+                    buffer_index=meta.buffer_index,
+                    axis=meta.axis,
+                ):
                     self.stats.audits += 1
                     if not report.within_bound:
                         self.stats.audit_violations += 1

@@ -4,11 +4,12 @@ MDZ's whole contract is the error bound, yet nothing in a running
 pipeline ever re-checks it: the encoder trusts its own reconstruction
 and the decoder is usually on another machine, weeks later.  The
 :class:`QualityAuditor` closes that loop in production at a sampled
-cost: for a deterministic subset of buffers it round-trips the encoded
-blob through a fresh reader-equivalent decode session
-(:meth:`MDZAxisCompressor.audit_decoder
-<repro.core.mdz.MDZAxisCompressor.audit_decoder>`) and compares the
-reconstruction against the original values.
+cost: for a deterministic subset of buffers it decodes every axis chunk
+of the buffer in one pass (:func:`repro.core.mdz.decompress_chunks`),
+each through a clone of its encode session
+(:meth:`MDZAxisCompressor.clone
+<repro.core.mdz.MDZAxisCompressor.clone>`), and compares the
+reconstructions against the original values.
 
 Sampling is by *global buffer index* (``buffer_index % interval == 0``,
 default every 32nd buffer), never by randomness or wall clock, so a
@@ -17,13 +18,16 @@ the same determinism discipline as the byte-identical encode guarantee.
 The audit never touches the encode path: archives are byte-identical
 with auditing on, off, or at any interval.
 
-Per audited buffer the auditor records (metric definitions match
-:mod:`repro.analysis.metrics`, the paper's Section VII-C):
+Per audited (buffer, axis) chunk the auditor records (metric
+definitions match :mod:`repro.analysis.metrics`, the paper's Section
+VII-C):
 
 * gauges ``quality.max_abs_error``, ``quality.psnr``, ``quality.ratio``,
   ``quality.bound_margin`` (max error / bound: 1.0 = at the bound);
-* counters ``quality.audits`` / ``quality.audited_values``; the timer
-  ``quality.audit`` bounds the overhead.
+* counters ``quality.audits`` / ``quality.audited_values``.
+
+The timer ``quality.audit`` bounds the overhead, one observation per
+audited buffer.
 
 A reconstruction outside the bound — or a blob that fails to decode at
 all, an even stronger violation of the contract — increments the hard
@@ -99,19 +103,39 @@ def _psnr(original: np.ndarray, recon: np.ndarray) -> float:
     return 20.0 * math.log10(value_range) - 10.0 * math.log10(mse)
 
 
+def _decode(chunks) -> list[tuple[np.ndarray | None, str | None]]:
+    """``(reconstruction, decode error)`` per ``(axis, session, blob,
+    original)`` chunk: one grouped decode, or each chunk alone when that
+    raises, so only a broken chunk carries an error."""
+    # Imported here: repro.core.mdz itself imports the telemetry package.
+    from ..core.mdz import decompress_chunks
+
+    try:
+        return [
+            (out, None)
+            for out in decompress_chunks(
+                [(session.clone(), blob) for _, session, blob, _ in chunks]
+            )
+        ]
+    except Exception as exc:  # decode failure = hard violation
+        if len(chunks) == 1:
+            return [(None, f"{type(exc).__name__}: {exc}")]
+    return [result for chunk in chunks for result in _decode([chunk])]
+
+
 class QualityAuditor:
     """Deterministically sampled round-trip auditing for one stream.
 
-    The owner (streaming writer or container assembler) drives three
-    steps, all keyed by the global buffer index so the parallel path —
-    where encode results return out of order — audits the same buffers
-    as serial:
+    The owner (the streaming writer) drives three steps, all keyed by
+    the global buffer index so the parallel path — where encode results
+    return out of order — audits the same buffers as serial:
 
     1. :meth:`want` — should this buffer be audited?
     2. :meth:`stash` — retain a copy of the original values at flush
        time (the only moment they are still in hand);
-    3. :meth:`audit` — once the encoded blob exists, round-trip and
-       record.
+    3. :meth:`land` — hand over each encoded chunk; once the last
+       sampled chunk of a buffer lands, :meth:`audit` round-trips the
+       whole buffer and records.
 
     ``interval <= 0`` disables the auditor; every method is then a cheap
     no-op so call sites need no guards.
@@ -124,6 +148,9 @@ class QualityAuditor:
         #: weeks-long stream does not accumulate an unbounded trail).
         self.audited: deque[tuple[int, int]] = deque(maxlen=4096)
         self._stash: dict[tuple[int, int], np.ndarray] = {}
+        #: Landed chunks of sampled buffers whose other axes are still
+        #: in flight, per buffer index.
+        self._landed: dict[int, list[tuple]] = {}
 
     @property
     def enabled(self) -> bool:
@@ -146,48 +173,65 @@ class QualityAuditor:
         return self._stash.pop((buffer_index, axis), None)
 
     def clear(self) -> None:
-        """Drop retained originals (abort paths)."""
+        """Drop retained originals and landed chunks (abort paths)."""
         self._stash.clear()
+        self._landed.clear()
 
-    def audit(
-        self,
-        session,
-        blob: bytes,
-        original: np.ndarray,
-        *,
-        buffer_index: int,
-        axis: int,
-    ) -> QualityReport:
-        """Round-trip ``blob`` and record quality metrics.
+    def land(
+        self, session, blob: bytes, *, buffer_index: int, axis: int
+    ) -> list[QualityReport]:
+        """Hand over one encoded chunk from its encode ``session``.
 
-        ``session`` is the *encode* session the blob came from; decoding
-        happens in a fresh reader-equivalent session derived from it, so
-        the audit exercises the real decode path.
+        Returns the buffer's reports (one per sampled axis) when this was
+        the last of its stashed chunks to land, else an empty list.
         """
+        original = self.pop(buffer_index, axis)
+        if original is None:
+            return []
+        landed = self._landed.setdefault(buffer_index, [])
+        landed.append((axis, session, blob, original))
+        if any(b == buffer_index for b, _ in self._stash):
+            return []
+        del self._landed[buffer_index]
+        return self.audit(buffer_index, landed)
+
+    def audit(self, buffer_index: int, chunks) -> list[QualityReport]:
+        """Round-trip one buffer's chunks and record quality metrics.
+
+        ``chunks`` holds ``(axis, session, blob, original)`` per audited
+        axis, ``session`` being the *encode* session the blob came from.
+        The chunks decode in one pass through ``session.clone()`` — a
+        fresh session that decodes as a reader would — so the audit
+        exercises the real decode path.  If that pass raises, each chunk
+        decodes alone: only a broken chunk is a violation, and its report
+        carries its own error.  Returns one report per chunk.
+        """
+        with get_recorder().timer("quality.audit"):
+            return [
+                self._report(buffer_index, *chunk, *decoded)
+                for chunk, decoded in zip(chunks, _decode(chunks))
+            ]
+
+    def _report(
+        self, buffer_index, axis, session, blob, original, recon, decode_error
+    ) -> QualityReport:
+        """Measure one decoded chunk against its original and record."""
         recorder = get_recorder()
         original = np.asarray(original, dtype=np.float64)
         bound = float(session.error_bound)
-        decode_error: str | None = None
-        with recorder.timer("quality.audit"):
-            try:
-                recon = np.asarray(
-                    session.audit_decoder().decompress_batch(blob),
-                    dtype=np.float64,
-                )
-                if recon.shape != original.shape:
-                    raise ValueError(
-                        f"decoded shape {recon.shape} != original "
-                        f"{original.shape}"
-                    )
-            except Exception as exc:  # decode failure = hard violation
-                decode_error = f"{type(exc).__name__}: {exc}"
-                recon = None
-            if recon is None:
-                max_err = math.inf
-                psnr = -math.inf
-            else:
-                max_err = float(np.max(np.abs(original - recon)))
-                psnr = _psnr(original, recon)
+        if recon is not None and recon.shape != original.shape:
+            decode_error = (
+                f"ValueError: decoded shape {recon.shape} != original "
+                f"{original.shape}"
+            )
+            recon = None
+        if recon is None:
+            max_err = math.inf
+            psnr = -math.inf
+        else:
+            recon = np.asarray(recon, dtype=np.float64)
+            max_err = float(np.max(np.abs(original - recon)))
+            psnr = _psnr(original, recon)
         ratio = original.size * 4 / max(len(blob), 1)  # float32 convention
         within = decode_error is None and max_err <= bound * (1.0 + BOUND_RTOL)
         report = QualityReport(

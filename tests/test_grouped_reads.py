@@ -121,6 +121,39 @@ def test_one_entropy_pass_per_group(archives, monkeypatch):
     assert paired["counters"][rounds] < alone["counters"][rounds]
 
 
+@pytest.mark.parametrize("name", ["mt-only", "default-pool"])
+def test_salvage_decodes_through_the_grouped_loop(name, archives):
+    """Salvage reads decode the buffers around a damaged chunk in order
+    with one set of sessions: the arrays equal random reads of the
+    intact archive, and buffer 0 is decoded once, not once per buffer."""
+    blob = archives[name]
+    [entry] = [
+        c for c in open_layout(blob).chunks
+        if (c.buffer_index, c.axis) == (2, 1)
+    ]
+    damaged = bytearray(blob)
+    damaged[entry.offset + entry.length // 2] ^= 0xFF
+    reader = StreamingReader(bytes(damaged), salvage=True)
+    decodable = [
+        status.index
+        for status in reader.salvage_report().buffers
+        if status.decodable
+    ]
+    assert decodable == [0, 1, 3, 4]
+    intact = StreamingReader(blob)
+    want = [intact.read_buffer(b) for b in decodable]
+    with recording() as rec:
+        full = reader.read_all()
+    assert np.array_equal(full, np.concatenate(want))
+    chunks = rec.snapshot()["timers"]["mdz.decompress_batch"]["count"]
+    assert chunks == 3 * len(decodable)
+    salvaged = list(reader.iter_salvaged())
+    assert [index for index, _, _ in salvaged] == decodable
+    for (index, first, array), expected in zip(salvaged, want):
+        assert first == 3 * index
+        assert np.array_equal(array, expected)
+
+
 @pytest.mark.parametrize(
     "fixture", sorted(p.name for p in MDZ1_FIXTURES.glob("*.mdz"))
 )

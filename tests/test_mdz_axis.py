@@ -113,8 +113,26 @@ class TestSessions:
         assert MDZAxisCompressor(MDZConfig(method="vq")).name == "mdz-vq"
 
     def test_vq_supports_random_access(self):
+        """A buffer decodes alone unless a member that can code it reads
+        the session reference (``needs_reference``: MT, bitadaptive)."""
         assert MDZAxisCompressor(MDZConfig(method="vq")).supports_random_access
         assert not MDZAxisCompressor(MDZConfig(method="mt")).supports_random_access
+        for method, alone in (
+            ("vqt", True),
+            ("interp", True),
+            ("bitadaptive", False),
+        ):
+            session = MDZAxisCompressor(MDZConfig(method=method))
+            assert session.supports_random_access is alone, method
+        for pool, alone in (
+            (("vq", "vqt", "mt"), False),
+            (("vq", "vqt", "interp"), True),
+            (("vq", "bitadaptive"), False),
+            (("interp",), True),
+            (("vq", "vqt", "mt", "interp", "bitadaptive"), False),
+        ):
+            session = MDZAxisCompressor(MDZConfig(adp_members=pool))
+            assert session.supports_random_access is alone, pool
 
 
 class TestSequenceAblation:

@@ -40,6 +40,16 @@ def _session(data_2d, bound=1e-3):
     return session
 
 
+def _buffer_chunks(data_3d):
+    """``(axis, session, blob, original)`` for every axis of one buffer."""
+    chunks = []
+    for axis in range(data_3d.shape[2]):
+        original = data_3d[:, :, axis]
+        session = _session(original)
+        chunks.append((axis, session, session.compress_batch(original), original))
+    return chunks
+
+
 class TestAuditorUnit:
     def test_clean_roundtrip_is_within_bound(self):
         data = _trajectory()[:, :, 0]
@@ -47,9 +57,7 @@ class TestAuditorUnit:
         blob = session.compress_batch(data)
         auditor = QualityAuditor(interval=1)
         with recording() as rec:
-            report = auditor.audit(
-                session, blob, data, buffer_index=0, axis=0
-            )
+            [report] = auditor.audit(0, [(0, session, blob, data)])
         assert report.within_bound
         assert report.max_abs_error <= 1e-3 * (1 + 1e-9)
         assert auditor.violations == 0
@@ -64,10 +72,10 @@ class TestAuditorUnit:
         session = _session(data)
         blob = session.compress_batch(data)
         recon = np.asarray(
-            session.audit_decoder().decompress_batch(blob), dtype=np.float64
+            session.clone().decompress_batch(blob), dtype=np.float64
         )
-        report = QualityAuditor(interval=1).audit(
-            session, blob, data, buffer_index=0, axis=0
+        [report] = QualityAuditor(interval=1).audit(
+            0, [(0, session, blob, data)]
         )
         assert report.max_abs_error == pytest.approx(
             max_error(data, recon), rel=0, abs=0
@@ -89,9 +97,7 @@ class TestAuditorUnit:
         with recording() as rec, caplog.at_level(
             logging.ERROR, logger="mdz.quality"
         ):
-            report = auditor.audit(
-                session, bad, data, buffer_index=0, axis=0
-            )
+            [report] = auditor.audit(0, [(0, session, bad, data)])
         assert not report.within_bound
         assert auditor.violations == 1
         snap = rec.snapshot()
@@ -106,13 +112,54 @@ class TestAuditorUnit:
     def test_decode_failure_reports_infinite_error(self):
         data = _trajectory()[:, :, 0]
         session = _session(data)
-        report = QualityAuditor(interval=1).audit(
-            session, b"not a blob", data, buffer_index=0, axis=0
+        [report] = QualityAuditor(interval=1).audit(
+            0, [(0, session, b"not a blob", data)]
         )
         assert not report.within_bound
         assert report.decode_error is not None
         assert math.isinf(report.max_abs_error)
         assert report.psnr == -math.inf
+
+    def test_broken_axis_is_the_only_violation(self):
+        """One corrupted chunk of a three-axis buffer fails the grouped
+        decode; each chunk then decodes alone, so only that axis is a
+        violation and the other two are measured within bound."""
+        data = _trajectory()
+        chunks = _buffer_chunks(data)
+        axis, session, blob, original = chunks[1]
+        bad = apply_posthoc(
+            blob,
+            [FaultSpec("corrupt", offset=len(blob) // 2, length=8,
+                       xor_mask=0x5A)],
+        )
+        chunks[1] = (axis, session, bad, original)
+        auditor = QualityAuditor(interval=1)
+        with recording() as rec:
+            reports = auditor.audit(0, chunks)
+        assert [r.axis for r in reports] == [0, 1, 2]
+        assert [r.within_bound for r in reports] == [True, False, True]
+        assert reports[1].decode_error is not None
+        assert reports[0].decode_error is None
+        assert reports[2].decode_error is None
+        assert auditor.violations == 1
+        snap = rec.snapshot()
+        assert snap["counters"]["quality.bound_violations"] == 1
+        assert snap["counters"]["quality.audits"] == 3
+        [event] = [e for e in snap["events"]
+                   if e["name"] == "quality.bound_violation"]
+        assert "buffer 0 axis 1" in event["detail"]
+
+    def test_buffer_decodes_in_one_entropy_pass(self):
+        """The three chunks of an audited buffer share one Huffman batch,
+        and the audit timer sees the buffer once."""
+        data = _trajectory(snapshots=10, atoms=3000)
+        chunks = _buffer_chunks(data)
+        with recording() as rec:
+            reports = QualityAuditor(interval=1).audit(0, chunks)
+        assert all(r.within_bound for r in reports)
+        timers = rec.snapshot()["timers"]
+        assert timers["sz.huffman.decode"]["count"] == 1
+        assert timers["quality.audit"]["count"] == 1
 
     def test_disabled_auditor_is_a_noop(self):
         auditor = QualityAuditor(interval=0)

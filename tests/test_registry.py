@@ -244,15 +244,20 @@ def test_new_member_matrix(curved_trajectory, method, pool, variant):
 
 
 def test_interp_supports_random_access(curved_trajectory):
-    """Interp decodes buffers in isolation (no session reference)."""
+    """Interp decodes buffers in isolation (no session reference): a
+    random read decodes the target's chunks and not buffer 0's."""
     from repro.io.container import read_container_batch
+    from repro.telemetry import recording
 
     config = MDZConfig(error_bound=EB, buffer_size=5, method="interp")
     blob = write_container(curved_trajectory, config)
-    batch = read_container_batch(blob, 2)
+    with recording() as rec:
+        batch = read_container_batch(blob, 2)
     assert_in_bound(
         batch, curved_trajectory[10:15], EB, span_source=curved_trajectory
     )
+    axes = curved_trajectory.shape[2]
+    assert rec.snapshot()["timers"]["mdz.decompress_batch"]["count"] == axes
 
 
 def test_interp_decode_rejects_unknown_order(curved_trajectory):

@@ -22,6 +22,7 @@ from repro.stream import (
     stream_compress,
     stream_decompress,
 )
+from repro.telemetry import recording
 
 
 def _stream_blob(trajectory, config=None, workers=0):
@@ -161,6 +162,60 @@ class TestRandomAccess:
         assert np.array_equal(np.concatenate(parts), stream_decompress(blob))
 
 
+#: name -> (config fields, whether a buffer decodes without buffer 0).
+RANDOM_ACCESS_CASES = {
+    "vq": ({"method": "vq"}, True),
+    "vqt": ({"method": "vqt"}, True),
+    "interp": ({"method": "interp"}, True),
+    "pool-vq-vqt-interp": ({"adp_members": ("vq", "vqt", "interp")}, True),
+    "mt": ({"method": "mt"}, False),
+    "default-pool": ({}, False),
+}
+
+
+class TestRandomAccessRule:
+    """One rule decides whether a buffer needs buffer 0: a member that
+    can code it has ``needs_reference``.  Reads and salvage follow it."""
+
+    @pytest.fixture(scope="class")
+    def forty(self):
+        rng = np.random.default_rng(11)
+        levels = rng.integers(0, 8, (150, 3)) * 2.0
+        vib = rng.normal(0.0, 0.03, (40, 150, 3))
+        drift = np.cumsum(rng.normal(0.0, 0.002, (40, 1, 3)), axis=0)
+        return levels[None] + vib + drift
+
+    @pytest.mark.parametrize("name", list(RANDOM_ACCESS_CASES))
+    def test_buffer_0_damage(self, forty, name):
+        fields, alone = RANDOM_ACCESS_CASES[name]
+        blob = _stream_blob(forty, MDZConfig(buffer_size=5, **fields))
+        [entry] = [
+            c for c in parse_stream(blob).chunks
+            if (c.buffer_index, c.axis) == (0, 0)
+        ]
+        damaged = bytearray(blob)
+        damaged[entry.offset + entry.length // 2] ^= 0xFF
+        salvaged = StreamingReader(bytes(damaged), salvage=True)
+        full = StreamingReader(blob).read_all()
+        if alone:
+            assert salvaged.salvage_report().readable_snapshots == 35
+            assert np.array_equal(salvaged.read_all(), full[5:])
+        else:
+            assert salvaged.salvage_report().readable_snapshots == 0
+            assert salvaged.read_all().shape == (0, 150, 3)
+
+    @pytest.mark.parametrize("name", list(RANDOM_ACCESS_CASES))
+    def test_read_buffer_decodes_what_it_needs(self, forty, name):
+        fields, alone = RANDOM_ACCESS_CASES[name]
+        blob = _stream_blob(forty, MDZConfig(buffer_size=5, **fields))
+        reader = StreamingReader(blob)
+        with recording() as rec:
+            target = reader.read_buffer(5)
+        chunks = rec.snapshot()["timers"]["mdz.decompress_batch"]["count"]
+        assert chunks == (3 if alone else 6)
+        assert np.array_equal(target, reader.read_all()[25:30])
+
+
 class TestContainerDispatch:
     def test_container_version(self, trajectory, mdz1_archive):
         mono = mdz1_archive
@@ -225,10 +280,28 @@ class TestWriterLifecycle:
         writer.abort()
 
 
+#: Config fields per parallel byte-identity case: every member, the
+#: five-member pool, and the settings a worker must encode with.
+PARALLEL_CASES = {
+    "adp": {},
+    "vq": {"method": "vq"},
+    "vqt": {"method": "vqt"},
+    "mt": {"method": "mt"},
+    "interp": {"method": "interp"},
+    "bitadaptive": {"method": "bitadaptive"},
+    "five-member-pool": {
+        "adp_members": ("vq", "vqt", "mt", "interp", "bitadaptive")
+    },
+    "seq1": {"sequence_mode": "seq1"},
+    "entropy-streams-1": {"entropy_streams": 1},
+    "lzma": {"lossless_backend": "lzma"},
+}
+
+
 class TestParallelByteIdentity:
-    @pytest.mark.parametrize("method", ["adp", "vq", "mt"])
+    @pytest.mark.parametrize("method", list(PARALLEL_CASES))
     def test_workers_match_serial_bytes(self, trajectory, method):
-        config = MDZConfig(buffer_size=3, method=method)
+        config = MDZConfig(buffer_size=3, **PARALLEL_CASES[method])
         serial = _stream_blob(trajectory, config, workers=0)
         parallel = _stream_blob(trajectory, config, workers=2)
         assert parallel == serial
@@ -241,6 +314,32 @@ class TestParallelByteIdentity:
             writer.feed_many(trajectory)
             writer.close()
         assert sink.getvalue() == _stream_blob(trajectory, config)
+
+    def test_one_executor_serves_two_writers(self, trajectory):
+        """Workers cache sessions across writers of one pool; the second
+        writer, with another input and bound, must not encode with the
+        first one's sessions."""
+        runs = [
+            (trajectory, MDZConfig(buffer_size=3, method="mt")),
+            (
+                trajectory[:, ::-1] * 1.5 + 0.25,
+                MDZConfig(
+                    buffer_size=3, method="mt", error_bound=5e-3,
+                    error_bound_mode="absolute",
+                ),
+            ),
+        ]
+        with ParallelExecutor(workers=2) as executor:
+            archives = []
+            for data, config in runs:
+                sink = io.BytesIO()
+                writer = StreamingWriter(sink, config, executor=executor)
+                writer.feed_many(data)
+                writer.close()
+                archives.append(sink.getvalue())
+        for archive, (data, config) in zip(archives, runs):
+            assert archive == _stream_blob(data, config)
+        assert archives[0] != archives[1]
 
 
 def _double(x):

@@ -7,9 +7,10 @@ its own session — so there are two rungs, pool + shared memory and
 in-session, and both must produce byte-identical archives.  These tests
 force the fallback (a serial writer, a pool that dies mid-backpressure
 wait, shared memory that is unavailable from the start or fails
-mid-stream), check that state digests missing the worker cache rebuild
-from the published segment, and check the lifecycle guarantee that no
-``/dev/shm`` segment outlives ``close``/``terminate``/``abort``.
+mid-stream), check that a segment missing from the worker cache
+unpickles its published session clone, and check the lifecycle
+guarantee that no ``/dev/shm`` segment outlives
+``close``/``terminate``/``abort``.
 """
 
 from __future__ import annotations
@@ -379,12 +380,19 @@ class TestShmLifecycle:
         assert len(keys) == len(snap["provenance"]) == 6 * 3
 
 
-@contextlib.contextmanager
-def _state_spec(traj, digest_override=None):
-    """A flush job for axis 0 of ``traj``, its state and batch in real
-    segments, plus the in-session reference bytes.
+def _publish(payload: bytes):
+    segment = executor_mod._create_segment(len(payload))
+    segment.buf[: len(payload)] = payload
+    return segment
 
-    Yields ``(flush, expected)``; the segments are unlinked on exit."""
+
+@contextlib.contextmanager
+def _state_spec(traj):
+    """A flush job for axis 0 of ``traj``, its pickled session clone and
+    batch in real segments, plus the in-session reference bytes.
+
+    Yields ``(flush, clone, expected)``, ``clone`` being the pickled
+    ``session.clone(method)``; the segments are unlinked on exit."""
     config = MDZConfig(
         buffer_size=4, error_bound=1e-3, error_bound_mode="absolute"
     )
@@ -398,42 +406,28 @@ def _state_spec(traj, digest_override=None):
     session.compress_batch(axis[4:8])  # second buffer: ADP trial
     method = session.pending_method()
     assert method is not None
-    reference, level_fit, digest = session.export_session_state(method)
-    state = pickle.dumps((reference, level_fit), pickle.HIGHEST_PROTOCOL)
-    state_segment = executor_mod._create_segment(len(state))
-    state_segment.buf[: len(state)] = state
+    clone = pickle.dumps(session.clone(method), pickle.HIGHEST_PROTOCOL)
+    state_segment = _publish(clone)
     ring = executor_mod._ShmRing(1)
     try:
         batch = axis[8:12][None]
         index, segment = ring.try_acquire(batch.nbytes)
         slot = executor_mod._ShmSlot(ring=ring, index=index, segment=segment)
-        spec = AxisJobSpec(
-            method=method,
-            error_bound=1e-3,
-            n_atoms=traj.shape[1],
-            quantization_scale=config.quantization_scale,
-            sequence_mode=config.sequence_mode,
-            lossless_backend=config.lossless_backend,
-            level_seed=config.level_seed,
-            state_digest=digest_override or digest,
-            state_shm=(state_segment.name, len(state)),
-            entropy_streams=config.entropy_streams,
-        )
+        spec = AxisJobSpec(session_shm=(state_segment.name, len(clone)))
         flush = FlushJobSpec(jobs=(spec,), shm=slot.pack(batch))
-        yield flush, session.compress_batch(axis[8:12])
+        yield flush, clone, session.compress_batch(axis[8:12])
     finally:
         ring.destroy()
         executor_mod._destroy_segment(state_segment)
 
 
-class TestStateDigestCache:
-    def test_digest_miss_falls_back_to_full_state(self):
-        """A digest the worker cache has never seen rebuilds the session
-        from the published state — bytes identical to in-session encode."""
+class TestSessionCache:
+    def test_segment_miss_unpickles_the_clone(self):
+        """A segment the worker cache has never seen unpickles the
+        published clone — bytes identical to in-session encode."""
         traj = _trajectory()
-        digest = "no-such-digest-" + os.urandom(4).hex()
         executor_mod._SESSIONS.clear()
-        with _state_spec(traj, digest) as (flush, expected):
+        with _state_spec(traj) as (flush, _, expected):
             with recording(MetricsRecorder()) as rec:
                 [blob] = encode_flush(flush)
         assert blob == expected
@@ -441,10 +435,10 @@ class TestStateDigestCache:
         assert counters["stream.executor.state_cache.miss"] == 1
         assert "stream.executor.state_cache.hit" not in counters
 
-    def test_digest_hit_reuses_cached_session(self):
+    def test_segment_hit_reuses_cached_session(self):
         traj = _trajectory()
         executor_mod._SESSIONS.clear()
-        with _state_spec(traj) as (flush, expected):
+        with _state_spec(traj) as (flush, _, expected):
             with recording(MetricsRecorder()) as rec:
                 [first] = encode_flush(flush)
                 [second] = encode_flush(flush)
@@ -457,13 +451,43 @@ class TestStateDigestCache:
     def test_cache_is_bounded(self):
         traj = _trajectory()
         executor_mod._SESSIONS.clear()
-        with _state_spec(traj) as (flush, expected):
-            [spec] = flush.jobs
-            for i in range(executor_mod._SESSION_CACHE_MAX + 3):
-                fake = dataclasses.replace(spec, state_digest=f"digest-{i}")
-                [blob] = encode_flush(dataclasses.replace(flush, jobs=(fake,)))
-                assert blob == expected
-        assert len(executor_mod._SESSIONS) == executor_mod._SESSION_CACHE_MAX
+        with _state_spec(traj) as (flush, clone, expected):
+            segments = [
+                _publish(clone)
+                for _ in range(executor_mod._SESSION_CACHE_MAX + 3)
+            ]
+            try:
+                for segment in segments:
+                    spec = AxisJobSpec(session_shm=(segment.name, len(clone)))
+                    [blob] = encode_flush(
+                        dataclasses.replace(flush, jobs=(spec,))
+                    )
+                    assert blob == expected
+                assert (
+                    len(executor_mod._SESSIONS)
+                    == executor_mod._SESSION_CACHE_MAX
+                )
+            finally:
+                for segment in segments:
+                    executor_mod._destroy_segment(segment)
+
+    def test_closed_executor_leaves_no_cached_session(self, monkeypatch):
+        """The parent caches sessions when jobs of a dead pool re-run
+        inline; closing the executor destroys their segments and drops
+        those entries, so no cache key outlives the segment it names."""
+        executor_mod._SESSIONS.clear()
+        traj = _trajectory()
+        serial = _compress(traj, workers=0)
+        monkeypatch.setattr(ParallelExecutor, "RETRY_BASE_DELAY", 0.001)
+        ex = ParallelExecutor(workers=2)
+        ex._pool = _DyingPool()  # every job is lost, then re-run inline
+        blob = _compress(traj, executor=ex)
+        published = [seg.name for seg in ex._published]
+        assert published
+        assert set(executor_mod._SESSIONS) == set(published)
+        ex.close()
+        assert blob == serial
+        assert not executor_mod._SESSIONS
 
 
 class TestBatchedDispatch:
