@@ -171,8 +171,7 @@ class CompressionService:
         lifecycles — the property the alerting recipe in
         ``docs/service.md`` relies on.
         """
-        counters = session.recorder.snapshot().get("counters", {})
-        for name, value in counters.items():
+        for name, value in session.recorder.counters().items():
             if name.startswith("quality.") and value:
                 self.recorder.count(name, value)
 

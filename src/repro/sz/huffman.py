@@ -19,9 +19,11 @@ dictionary coder.  The implementation here is self-contained:
   Python-loop steps.  The round loop runs over the streams of a whole
   batch of blobs (:func:`decode_blobs`), so a batch costs as many rounds
   as its longest blob, not the sum over its blobs; readers collect the
-  blobs of many payloads in a :class:`HuffmanBatch`.  Legacy
-  single-stream (v1) blobs keep decoding bit-exactly through the
-  original scalar table walker, one by one.
+  blobs of many payloads in a :class:`HuffmanBatch`.  The encoder
+  writes H2 for every blob of at least 1024 symbols, a one-snapshot
+  buffer head included.  Single-stream (v1) blobs (smaller blobs,
+  ``streams=1`` writes and archives written before H2) decode
+  bit-exactly through the original scalar table walker, one by one.
 
 The decoder lookup structures (keyed by a digest of the codebook) are
 memoized in a small LRU cache — see :func:`clear_codebook_caches` and
@@ -80,9 +82,14 @@ MAX_STREAMS = 2048
 _SYMBOLS_PER_STREAM = 256
 
 #: Below this many symbols the blob stays in the legacy single-stream
-#: format: the scalar decoder is already fast at this size and the H2
-#: framing (per-stream length table) would cost more than it saves.
-_H2_MIN_SYMBOLS = 4096
+#: format.  At and above it a blob is H2: the scalar walker costs about
+#: 0.5 ms at 1024 symbols and 1-1.6 ms at 3137 (a one-snapshot buffer
+#: head of copper-b), while an H2 blob's streams ride in the round loop
+#: of the read group its chunk decodes in.  Below it the H2 framing (a
+#: stream length table and two JSON keys, 52 bytes at 8 streams) grows a
+#: 600-symbol blob by about 10%, and the MDZ1 fixtures, whose blobs hold
+#: at most 600 symbols, keep their v1 payloads.
+_H2_MIN_SYMBOLS = 1024
 
 
 def _tree_code_lengths(counts: np.ndarray) -> np.ndarray:
@@ -492,10 +499,11 @@ class HuffmanCodec:
 
         ``streams`` controls the H2 sub-stream fan-out: ``None`` (default)
         scales the count with the array size (single-stream below
-        ``_H2_MIN_SYMBOLS``, then ~one stream per ``_SYMBOLS_PER_STREAM``
-        symbols up to :data:`MAX_STREAMS`); ``1`` forces the legacy
-        single-stream format (bit-identical to historical blobs); any
-        larger value forces that H2 fan-out.
+        ``_H2_MIN_SYMBOLS`` = 1024 symbols, then at least
+        :data:`DEFAULT_STREAMS` and ~one stream per
+        ``_SYMBOLS_PER_STREAM`` symbols up to :data:`MAX_STREAMS`); ``1``
+        forces the legacy single-stream format (bit-identical to
+        historical blobs); any larger value forces that H2 fan-out.
         """
         arr = np.asarray(values)
         if not np.issubdtype(arr.dtype, np.integer):
@@ -579,8 +587,9 @@ def decode_blobs(blobs: Sequence[bytes]) -> list[np.ndarray]:
     Every H2 stream of every blob runs through one round loop (see
     :func:`_decode_h2`), so the batch costs as many rounds as its
     longest blob rather than the sum over its blobs.  v1 blobs take the
-    scalar walker :func:`_decode_stream` one by one; empty and
-    single-symbol blobs need no bit reading.  A codebook deeper than
+    scalar walker :func:`_decode_stream` one by one, counted as
+    ``sz.huffman.decode.v1_blobs``; empty and single-symbol blobs need
+    no bit reading.  A codebook deeper than
     :data:`FLAT_TABLE_BITS` runs the round loop in a batch of its own.
     Any corrupt blob raises :class:`DecompressionError` for the batch.
     """
@@ -590,7 +599,7 @@ def decode_blobs(blobs: Sequence[bytes]) -> list[np.ndarray]:
     out: list = [None] * len(blobs)
     flat: list[tuple[int, _H2Blob]] = []
     deep: list[tuple[int, _H2Blob]] = []
-    symbols = rounds = 0
+    symbols = rounds = walked = 0
     with recorder.span("sz.huffman.decode", blobs=len(blobs)), \
             recorder.timer("sz.huffman.decode"):
         for i, blob in enumerate(blobs):
@@ -600,6 +609,12 @@ def decode_blobs(blobs: Sequence[bytes]) -> list[np.ndarray]:
                 (flat if parsed.table.bounds is None else deep).append(
                     (i, parsed)
                 )
+            elif isinstance(parsed, _V1Blob):
+                symbols += parsed.n
+                walked += 1
+                out[i] = _decode_stream(
+                    parsed.payload, parsed.n, parsed.table
+                ).astype(parsed.dtype, copy=False)
             else:
                 symbols += parsed.size
                 out[i] = parsed
@@ -611,6 +626,8 @@ def decode_blobs(blobs: Sequence[bytes]) -> list[np.ndarray]:
                     out[i] = array
     if recorder.enabled:
         recorder.count("sz.huffman.decode.symbols", symbols)
+        if walked:
+            recorder.count("sz.huffman.decode.v1_blobs", walked)
         if flat or deep:
             recorder.count("sz.huffman.decode.h2_blobs", len(flat) + len(deep))
             recorder.count("sz.huffman.decode.rounds", rounds)
@@ -665,8 +682,17 @@ class _H2Blob(NamedTuple):
     payload: bytes
 
 
-def _parse_blob(blob: bytes) -> np.ndarray | _H2Blob:
-    """Validate one blob; decode it unless it needs the round loop.
+class _V1Blob(NamedTuple):
+    """A validated single-stream blob awaiting the scalar walker."""
+
+    n: int
+    dtype: np.dtype
+    table: _DecodeTable
+    payload: bytes
+
+
+def _parse_blob(blob: bytes) -> np.ndarray | _H2Blob | _V1Blob:
+    """Validate one blob; decode it unless it needs bit reading.
 
     Every code is at least one bit long, so a blob claiming more
     symbols than its payload has bits (or an H2 stream more symbols
@@ -707,7 +733,7 @@ def _parse_blob(blob: bytes) -> np.ndarray | _H2Blob:
         return np.full(n, symbols[0], dtype=np.int64).astype(dtype, copy=False)
     table = _cached_decode_table(symbols, lengths)
     if version == 1:
-        return _decode_stream(payload, n, table).astype(dtype, copy=False)
+        return _V1Blob(n, dtype, table, payload)
     return _H2Blob(n, dtype, table, sizes, counts, payload)
 
 

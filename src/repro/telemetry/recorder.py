@@ -218,6 +218,11 @@ class MetricsRecorder(Recorder):
         with self._lock:
             return self._counters.get(name, 0)
 
+    def counters(self) -> dict[str, int]:
+        """A copy of every counter, without building a :meth:`snapshot`."""
+        with self._lock:
+            return dict(self._counters)
+
     def stage_seconds(self, name: str) -> float:
         """Total seconds accumulated under one stage timer."""
         with self._lock:

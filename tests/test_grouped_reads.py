@@ -9,18 +9,25 @@ arrays must equal a decode that gives every buffer a group of its own.
 
 from __future__ import annotations
 
+import dataclasses
+import io
+
 import numpy as np
 import pytest
 
 import repro.io.container as container
 from repro.core.config import MDZConfig
 from repro.core.mdz import MDZ
+from repro.datasets import DATASET_SPECS
+from repro.datasets.generators import GENERATORS
 from repro.io.container import (
     open_layout,
     read_container,
     read_container_batch,
 )
+from repro.stream import StreamingWriter
 from repro.stream.reader import StreamingReader
+from repro.sz import huffman
 from repro.telemetry import recording
 
 from .conftest import MDZ1_FIXTURES
@@ -28,8 +35,8 @@ from .conftest import MDZ1_FIXTURES
 ALL_MEMBERS = ("vq", "vqt", "mt", "interp", "bitadaptive")
 
 #: name -> config; 13 snapshots at buffer size 3 leave a short last
-#: buffer, and 2100 atoms put the tail and VQ blobs on the H2 path
-#: (buffer heads stay v1).
+#: buffer, and 2100 atoms put every blob on the H2 path, one-snapshot
+#: buffer heads included.
 CONFIGS = {
     "default-pool": MDZConfig(buffer_size=3),
     "five-member-pool": MDZConfig(buffer_size=3, adp_members=ALL_MEMBERS),
@@ -171,4 +178,79 @@ def test_mdz1_fixtures_group_identically(fixture, monkeypatch):
     for b in range(n_batches):
         assert np.array_equal(
             read_container_batch(blob, b), alone[b * rows : (b + 1) * rows]
+        )
+
+
+@pytest.fixture(scope="module")
+def copper_b() -> np.ndarray:
+    """40 snapshots of copper-b: four buffers of 3137 atoms, whose MT
+    chunks carry a 3137-symbol buffer head per axis."""
+    spec = dataclasses.replace(DATASET_SPECS["copper-b"], snapshots=40)
+    positions, _ = GENERATORS["copper-b"](spec, np.random.default_rng(7))
+    return np.ascontiguousarray(positions, dtype=np.float32)
+
+
+def _stream_write(data: np.ndarray) -> bytes:
+    sink = io.BytesIO()
+    with StreamingWriter(sink, MDZConfig()) as writer:
+        writer.feed_many(data)
+    return sink.getvalue()
+
+
+def _assert_within_bound(decoded, data, bounds) -> None:
+    error = np.abs(decoded.astype(np.float64) - data).max(axis=(0, 1))
+    assert (error <= np.asarray(bounds) * (1 + 1e-9)).all()
+
+
+def test_default_write_never_walks_a_blob(copper_b, monkeypatch):
+    """A default write codes every blob of 1024 or more symbols as H2,
+    so no read of it (full, iterated, random or salvage) takes the
+    scalar v1 walker."""
+    blob = _stream_write(copper_b)
+
+    def _walker(*args):
+        raise AssertionError("the scalar v1 walker ran")
+
+    monkeypatch.setattr(huffman, "_decode_stream", _walker)
+    reader = StreamingReader(blob)
+    full = reader.read_all()
+    _assert_within_bound(full, copper_b, reader.error_bounds)
+    assert np.array_equal(np.concatenate(list(reader.iter_buffers())), full)
+    rows = reader.buffer_size
+    for b in range(reader.n_buffers):
+        assert np.array_equal(
+            reader.read_buffer(b), full[b * rows : (b + 1) * rows]
+        )
+    [entry] = [
+        c for c in open_layout(blob).chunks
+        if (c.buffer_index, c.axis) == (2, 1)
+    ]
+    damaged = bytearray(blob)
+    damaged[entry.offset + entry.length // 2] ^= 0xFF
+    salvaged = StreamingReader(bytes(damaged), salvage=True)
+    decodable = [
+        status.index
+        for status in salvaged.salvage_report().buffers
+        if status.decodable
+    ]
+    assert 2 not in decodable and len(decodable) >= 2
+    want = [full[b * rows : (b + 1) * rows] for b in decodable]
+    assert np.array_equal(salvaged.read_all(), np.concatenate(want))
+
+
+def test_v1_head_archive_still_decodes(copper_b, monkeypatch):
+    """Archives written while buffer heads were v1 blobs (the H2
+    threshold at 4096 symbols) read within bound through the walker."""
+    monkeypatch.setattr(huffman, "_H2_MIN_SYMBOLS", 4096)
+    blob = _stream_write(copper_b)
+    monkeypatch.undo()
+    reader = StreamingReader(blob)
+    with recording() as rec:
+        full = reader.read_all()
+    assert rec.snapshot()["counters"]["sz.huffman.decode.v1_blobs"] > 0
+    _assert_within_bound(full, copper_b, reader.error_bounds)
+    rows = reader.buffer_size
+    for b in range(reader.n_buffers):
+        assert np.array_equal(
+            reader.read_buffer(b), full[b * rows : (b + 1) * rows]
         )

@@ -324,16 +324,22 @@ class TestH2RoundTrip:
         assert np.array_equal(HuffmanCodec.decode(blob), arr)
 
     def test_auto_path_small_stays_legacy(self):
-        arr = np.arange(100)
-        blob = HuffmanCodec.encode(arr)
-        assert blob == HuffmanCodec.encode(arr, streams=1)
+        # 1023 symbols is the largest blob the encoder keeps single-stream.
+        for n in (100, 1023):
+            arr = np.arange(n)
+            blob = HuffmanCodec.encode(arr)
+            assert blob == HuffmanCodec.encode(arr, streams=1)
 
     def test_auto_path_large_uses_h2(self):
-        rng = np.random.default_rng(11)
-        arr = rng.integers(0, 64, 50000)
-        blob = HuffmanCodec.encode(arr)
-        assert blob != HuffmanCodec.encode(arr, streams=1)
-        assert np.array_equal(HuffmanCodec.decode(blob), arr)
+        # 1024 symbols is the smallest H2 blob; 3137 is one copper-b
+        # buffer head.
+        for n, n_streams in ((1024, 8), (3137, 12), (50000, 195)):
+            arr = np.random.default_rng(11).integers(0, 64, n)
+            blob = HuffmanCodec.encode(arr)
+            meta = BlobReader(blob).read_json()
+            assert (meta["v"], meta["ns"]) == (2, n_streams)
+            assert blob != HuffmanCodec.encode(arr, streams=1)
+            assert np.array_equal(HuffmanCodec.decode(blob), arr)
 
     def test_dense_codebook_h2(self):
         rng = np.random.default_rng(13)
@@ -520,9 +526,10 @@ class TestDeepCodebookCap:
 
 #: One blob of a property-test batch: (symbols, seed, alphabet span,
 #: forced H2 stream count or None for auto, dense hint, dtype).  The
-#: sizes cover empty, one-symbol, v1-sized and H2-sized arrays.
+#: sizes cover empty, one-symbol, v1-sized and H2-sized arrays, and both
+#: sides of the auto H2 threshold.
 _BLOB_SPECS = st.tuples(
-    st.sampled_from([0, 1, 7, 300, 4095, 4096, 5000, 12000]),
+    st.sampled_from([0, 1, 7, 300, 1023, 1024, 4095, 4096, 5000, 12000]),
     st.integers(0, 2**16),
     st.sampled_from([1, 2, 5, 60, 1000]),
     st.one_of(st.none(), st.integers(2, 64)),
@@ -570,8 +577,31 @@ class TestBatchedDecode:
         counters = snap["counters"]
         assert counters["sz.huffman.decode.rounds"] == 20000 // 8
         assert counters["sz.huffman.decode.h2_blobs"] == 3
+        assert "sz.huffman.decode.v1_blobs" not in counters
         assert counters["sz.huffman.decode.streams"] == 24
         assert counters["sz.huffman.decode.symbols"] == 34000
+
+    def test_walked_blobs_are_counted(self):
+        """``v1_blobs`` counts the blobs the scalar walker decodes: not
+        the H2 ones, nor a one-symbol alphabet, which needs no bits."""
+        from repro.telemetry import recording
+
+        rng = np.random.default_rng(19)
+        arrays = [
+            rng.integers(0, 30, 1023),
+            rng.integers(0, 30, 1024),
+            np.full(2000, 4),
+            rng.integers(0, 30, 5000),
+        ]
+        blobs = [HuffmanCodec.encode(a) for a in arrays[:3]]
+        blobs.append(HuffmanCodec.encode(arrays[3], streams=1))
+        with recording() as rec:
+            out = decode_blobs(blobs)
+        for got, want in zip(out, arrays):
+            assert np.array_equal(got, want)
+        counters = rec.snapshot()["counters"]
+        assert counters["sz.huffman.decode.v1_blobs"] == 2
+        assert counters["sz.huffman.decode.h2_blobs"] == 1
 
 
 def _rejected_within(blob: bytes, seconds: float = 1.0) -> str:

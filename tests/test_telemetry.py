@@ -41,6 +41,11 @@ class TestRecorderPrimitives:
         rec.count("a", 4)
         assert rec.counter("a") == 5
         assert rec.counter("never") == 0
+        rec.event("e")
+        counters = rec.counters()
+        assert counters == rec.snapshot()["counters"] == {"a": 5, "events.e": 1}
+        counters["a"] = 0  # a copy: the recorder keeps its own
+        assert rec.counter("a") == 5
 
     def test_gauge_keeps_latest(self):
         rec = MetricsRecorder()

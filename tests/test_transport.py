@@ -64,11 +64,30 @@ def _compress(traj, workers=0, executor=None, buffer_size=4):
     return sink.getvalue()
 
 
-def _shm_entries():
-    try:
-        return set(os.listdir("/dev/shm"))
-    except FileNotFoundError:  # pragma: no cover - non-Linux
-        return set()
+@pytest.fixture
+def segments(monkeypatch) -> list[str]:
+    """Names of the shared-memory segments this test's executors create.
+
+    Every segment the parent process owns comes from
+    ``_create_segment``; workers only attach.  Checking these names, not
+    the whole ``/dev/shm`` listing, keeps a segment of another process
+    (a parallel benchmark run, a second test session) out of the test.
+    """
+    names: list[str] = []
+    create = executor_mod._create_segment
+
+    def _recording(nbytes):
+        segment = create(nbytes)
+        names.append(segment.name)
+        return segment
+
+    monkeypatch.setattr(executor_mod, "_create_segment", _recording)
+    return names
+
+
+def _alive(names) -> set[str]:
+    """Those of ``names`` still linked in ``/dev/shm``."""
+    return {name for name in names if os.path.exists(f"/dev/shm/{name}")}
 
 
 def _double(x):
@@ -178,20 +197,20 @@ class TestPoolDeathDegradation:
         assert counters["stream.executor.jobs_rerun_inline"] >= 1
         assert counters["stream.executor.job_retries"] >= 1
 
-    def test_slot_released_by_abandon_sweep(self):
+    def test_slot_released_by_abandon_sweep(self, segments):
         """Payload slots held by queued jobs are freed when the pool is
         abandoned, and the ring is unlinked once idle."""
         ex = ParallelExecutor(workers=2, max_pending=2)
         ex.RETRY_BASE_DELAY = 0.001
         ex._pool = _DyingPool()
-        before = _shm_entries()
         slot = ex.acquire_slot(1024)
         assert slot is not None
+        assert _alive(segments) == {slot.segment.name}
         ex.submit(_double, 21, slot=slot)
         ex._abandon_pool()
         assert not ex.parallel
         assert ex.drain() == [42]
-        assert _shm_entries() == before  # ring idle -> unlinked
+        assert not _alive(segments)  # ring idle -> unlinked
         ex.close()
 
     def test_dead_pool_at_acquire_returns_none(self):
@@ -203,35 +222,33 @@ class TestPoolDeathDegradation:
 
 
 class TestShmLifecycle:
-    def test_no_leak_after_close(self):
-        before = _shm_entries()
+    def test_no_leak_after_close(self, segments):
         traj = _trajectory()
         serial = _compress(traj, workers=0)
         parallel = _compress(traj, workers=2)
         assert parallel == serial
-        assert _shm_entries() == before
+        assert segments and not _alive(segments)
 
-    def test_no_leak_after_terminate(self):
-        before = _shm_entries()
+    def test_no_leak_after_terminate(self, segments):
         ex = ParallelExecutor(workers=2, max_pending=2)
         slot = ex.acquire_slot(4096)
         handle = ex.publish(b"frozen session state")
         assert slot is not None and handle is not None
-        assert _shm_entries() != before
+        assert _alive(segments) == {slot.segment.name, handle[0]}
         ex.submit(_double, 1, slot=slot)
         ex.terminate()
-        assert _shm_entries() == before
+        assert not _alive(segments)
 
-    def test_no_leak_after_writer_abort(self):
-        before = _shm_entries()
+    def test_no_leak_after_writer_abort(self, segments):
         traj = _trajectory()
         config = MDZConfig(
             buffer_size=4, error_bound=1e-3, error_bound_mode="absolute"
         )
         writer = StreamingWriter(io.BytesIO(), config, workers=2)
         writer.feed_many(traj[:12])
+        assert _alive(segments)
         writer.abort()
-        assert _shm_entries() == before
+        assert not _alive(segments)
 
     def test_repeated_parallel_sessions_keep_tracker_quiet(self):
         """Three parallel sessions in one process leave the resource
@@ -244,7 +261,17 @@ class TestShmLifecycle:
             import numpy as np
             from repro.core.config import MDZConfig
             from repro.stream import StreamingWriter
+            from repro.stream import executor
 
+            created = []
+            create = executor._create_segment
+
+            def _recording(nbytes):
+                segment = create(nbytes)
+                created.append(segment.name)
+                return segment
+
+            executor._create_segment = _recording
             rng = np.random.default_rng(1)
             data = rng.uniform(0, 10, (200, 3)) + np.cumsum(
                 rng.normal(0, 0.01, (60, 200, 3)), axis=0
@@ -258,9 +285,9 @@ class TestShmLifecycle:
                     writer.feed_many(data)
                 archives.add(sink.getvalue())
             print(len(archives))
+            print(" ".join(created))
             """
         )
-        before = _shm_entries()
         result = subprocess.run(
             [sys.executable, "-c", script],
             capture_output=True,
@@ -273,12 +300,14 @@ class TestShmLifecycle:
         )
         assert result.returncode == 0, result.stderr
         assert "KeyError" not in result.stderr, result.stderr
-        assert result.stdout.split() == ["1"]  # identical archives
-        leaked = {e for e in _shm_entries() - before if e.startswith("psm_")}
-        assert not leaked
+        # A segment left linked at exit is unlinked by the tracker, which
+        # says so on stderr.
+        assert "leaked shared_memory" not in result.stderr, result.stderr
+        count, created = result.stdout.splitlines()
+        assert count == "1"  # identical archives
+        assert created and not _alive(created.split())
 
-    def test_slot_grows_for_larger_payload(self):
-        before = _shm_entries()
+    def test_slot_grows_for_larger_payload(self, segments):
         ring = executor_mod._ShmRing(1)
         index, seg = ring.try_acquire(100)
         assert seg.size >= 100
@@ -286,8 +315,9 @@ class TestShmLifecycle:
         index, grown = ring.try_acquire(10 * seg.size)
         assert grown.size >= 10 * seg.size
         ring.release(index)
+        assert _alive(segments) == {grown.name}  # outgrown slot unlinked
         ring.destroy()
-        assert _shm_entries() == before
+        assert not _alive(segments)
 
     def test_shm_unavailable_encodes_in_session(self, monkeypatch):
         """When segment creation fails, the pool is abandoned and the
@@ -312,7 +342,7 @@ class TestShmLifecycle:
         )
 
     def test_shm_failure_mid_stream_encodes_rest_in_session(
-        self, monkeypatch
+        self, monkeypatch, segments
     ):
         """Slot creation starts failing after two flushes went to the
         pool: those jobs finish or re-run inline from their segments,
@@ -334,10 +364,9 @@ class TestShmLifecycle:
         monkeypatch.setattr(
             executor_mod._ShmRing, "try_acquire", _failing_from_third
         )
-        before = _shm_entries()
         with recording(MetricsRecorder()) as rec:
             parallel = _compress(traj, workers=2)
-        assert _shm_entries() == before
+        assert segments and not _alive(segments)
         assert parallel == serial
         counters = rec.snapshot()["counters"]
         assert counters["stream.executor.dispatched"] == 2
