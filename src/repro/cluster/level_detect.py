@@ -154,13 +154,6 @@ def _stop_rule(costs: np.ndarray) -> bool:
     return saw_drop and bool((tail > PLATEAU).all())
 
 
-def _g_profile(costs: np.ndarray) -> np.ndarray:
-    """``G(k) = F(N,k)/F(N,k-1)`` for k = 2.. (diagnostic helper)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = costs[1:] / np.maximum(costs[:-1], 1e-300)
-    return np.where(np.isfinite(g), g, 0.0)
-
-
 def detect_levels(
     snapshot: np.ndarray,
     max_clusters: int = MAX_CLUSTERS,

@@ -23,16 +23,6 @@ class SessionLevelModel:
         self._seed = seed
         self._fit: LevelFit | None = None
 
-    @property
-    def is_fitted(self) -> bool:
-        """True once the k-means fit has run."""
-        return self._fit is not None
-
-    @property
-    def fit(self) -> LevelFit | None:
-        """The cached fit, or ``None`` before any VQ-family encode."""
-        return self._fit
-
     def fit_for(self, snapshot: np.ndarray) -> LevelFit:
         """Return the cached fit, computing it from ``snapshot`` if needed.
 

@@ -93,11 +93,6 @@ class BitReader:
         """Read a single bit."""
         return self.read(1)
 
-    @property
-    def bits_left(self) -> int:
-        """Number of unread bits (includes any trailing padding)."""
-        return 8 * len(self._data) - self._pos
-
 
 def zigzag_encode(values: np.ndarray) -> np.ndarray:
     """Map signed integers to unsigned: 0,-1,1,-2,2... -> 0,1,2,3,4..."""

@@ -13,24 +13,23 @@ dictionary coder.  The implementation here is self-contained:
 * encoding is fully vectorized (numpy gather + bit packing);
 * decoding is vectorized too: the "H2" blob format splits the symbol array
   round-robin into N independent byte-aligned sub-streams, and the decoder
-  runs a round-based numpy state machine — one flat-table (or canonical
-  searchsorted) lookup per round advances every stream cursor at once, so
-  an n-symbol payload decodes in ~n/N vectorized rounds instead of n
-  Python-loop steps.  The round loop runs over the streams of a whole
-  batch of blobs (:func:`decode_blobs`), so a batch costs as many rounds
-  as its longest blob, not the sum over its blobs; readers collect the
-  blobs of many payloads in a :class:`HuffmanBatch`.  The encoder
-  writes H2 for every blob of at least 1024 symbols, a one-snapshot
-  buffer head included.  Single-stream (v1) blobs (smaller blobs,
-  ``streams=1`` writes and archives written before H2) decode
-  bit-exactly through the original scalar table walker, one by one.
+  runs a round-based numpy state machine — one flat-table lookup per round
+  advances every stream cursor at once, so an n-symbol payload decodes in
+  ~n/N vectorized rounds instead of n Python-loop steps.  The round loop
+  runs over the streams of a whole batch of blobs (:func:`decode_blobs`),
+  so a batch costs as many rounds as its longest blob, not the sum over
+  its blobs; readers collect the blobs of many payloads in a
+  :class:`HuffmanBatch`.  The encoder writes H2 for every blob of at least
+  1024 symbols, a one-snapshot buffer head included.  Single-stream (v1)
+  blobs (smaller blobs, ``streams=1`` writes and archives written before
+  H2) decode bit-exactly through the original scalar table walker, one by
+  one.
 
-The decoder lookup structures (keyed by a digest of the codebook) are
-memoized in a small LRU cache — see :func:`clear_codebook_caches` and
-the ``sz.huffman.cache.hit/miss`` telemetry counters — because reading
-an archive repeats codebooks.  The encoder builds every codebook from
-its histogram: writing rarely repeats a histogram, since each buffer's
-differs, and a build costs about 0.1 ms.
+Every blob decodes through its own flat ``2**max_len`` table, built from
+its codebook when the blob is parsed (about 15 µs); the decoder keeps no
+state between blobs.  Code lengths run from 1 to :data:`MAX_CODE_LENGTH`,
+as the encoder writes them, and a deeper codebook is rejected before any
+table is built.
 
 The public entry point is :class:`HuffmanCodec` with ``encode`` / ``decode``
 class methods that produce and consume self-contained byte blobs (codebook
@@ -39,11 +38,7 @@ included); ``decode`` is :func:`decode_blobs` with a batch of one.
 
 from __future__ import annotations
 
-import bisect
-import hashlib
 import heapq
-import threading
-from collections import OrderedDict
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -53,21 +48,11 @@ from ..serde import BlobReader, BlobWriter
 from ..telemetry import get_recorder
 from .bitio import pack_codes
 
-#: Hard cap on Huffman code length produced by *this* encoder.  Chosen so
-#: the flat decode table is at most 2^16 entries and the vectorized bit
-#: packer never sees codes wider than 57 bits.
+#: Hard cap on Huffman code length.  The encoder never writes a longer
+#: code and the decoder rejects a codebook that claims one, so a flat
+#: decode table is at most 2^16 entries and the vectorized bit packer
+#: never sees codes wider than 57 bits.
 MAX_CODE_LENGTH = 16
-
-#: Widest code the decoder accepts from a blob.  Matches the
-#: :func:`~repro.sz.bitio.pack_codes` budget: a (possibly foreign) blob
-#: claiming longer codes cannot have been produced by this format.
-MAX_CODE_WIDTH = 57
-
-#: Cap on the flat ``2**max_len`` decode table.  Codebooks deeper than
-#: this (possible only in foreign/corrupt blobs — our encoder stops at
-#: :data:`MAX_CODE_LENGTH`) decode through the canonical searchsorted
-#: path instead, which needs O(alphabet) memory rather than O(2**depth).
-FLAT_TABLE_BITS = 16
 
 #: Minimum sub-stream count of an H2 blob (the base fan-out); the encoder
 #: scales the count up with the symbol count so large arrays decode in few
@@ -181,66 +166,6 @@ def canonical_codes(lengths: np.ndarray) -> np.ndarray:
     return codes
 
 
-# -- decode-table caching ------------------------------------------------
-
-
-class _LRUCache:
-    """Tiny thread-safe LRU keyed by bytes digests, counting
-    ``sz.huffman.cache.hit/miss``."""
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self._lock = threading.Lock()
-        self._data: OrderedDict[bytes, object] = OrderedDict()
-
-    def get(self, key: bytes):
-        with self._lock:
-            value = self._data.get(key)
-            if value is not None:
-                self._data.move_to_end(key)
-        recorder = get_recorder()
-        if value is None:
-            recorder.count("sz.huffman.cache.miss")
-        else:
-            recorder.count("sz.huffman.cache.hit")
-        return value
-
-    def put(self, key: bytes, value) -> None:
-        with self._lock:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > self.capacity:
-                self._data.popitem(last=False)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
-
-
-_DECODE_CACHE = _LRUCache(64)
-
-
-def clear_codebook_caches() -> None:
-    """Drop the memoized decoder lookup tables."""
-    _DECODE_CACHE.clear()
-
-
-def _digest(tag: bytes, *parts: np.ndarray) -> bytes:
-    h = hashlib.blake2b(tag, digest_size=16)
-    for part in parts:
-        h.update(part.tobytes())
-    return h.digest()
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
-
-
 #: Hard cap on the dense packed encode table (8 MB of uint64 entries).
 _DENSE_TABLE_SPAN_CAP = 1 << 20
 
@@ -277,33 +202,26 @@ def _packed_encode_table(
 
 
 class _DecodeTable:
-    """Prepared decode structures for one canonical codebook.
+    """The flat decode table of one canonical codebook.
 
-    Every lookup yields a packed entry ``rank << 6 | length``: ``rank``
-    indexes :attr:`symbols` and ``length`` is the code length (at most
-    57, so six bits hold it).  Two strategies sit behind it:
-
-    * ``max_len <= FLAT_TABLE_BITS`` — :attr:`packed` is the flat
-      ``2**max_len`` table indexed by the window itself; O(1) per lookup.
-    * deeper codebooks — canonical codes left-aligned to ``max_len`` form
-      a strictly increasing sequence whose spans tile the window space, so
-      ``searchsorted`` on the span starts (:attr:`bounds`) resolves a
-      window in O(log alphabet) with O(alphabet) memory, and
-      :attr:`packed` holds one entry per symbol in canonical order.  This
-      is what caps the table: a (corrupt or foreign) blob claiming 50-bit
-      codes can no longer force a ``2**50``-entry allocation.
+    :attr:`packed` holds ``2**max_len`` int32 entries, indexed by the
+    next ``max_len`` bits of a stream; each is ``rank << 6 | length``,
+    where ``rank`` indexes :attr:`symbols` and ``length`` is the code
+    length.  Codes must be 1 to :data:`MAX_CODE_LENGTH` bits long, so
+    the table has at most 2^16 entries: a (corrupt or foreign) blob
+    claiming deeper codes is rejected before the table is built.
     """
 
-    __slots__ = ("max_len", "symbols", "packed", "bounds", "_scalar")
+    __slots__ = ("max_len", "symbols", "packed")
 
     def __init__(self, symbols: np.ndarray, lengths: np.ndarray) -> None:
         if lengths.size == 0 or int(lengths.min()) < 1:
             raise DecompressionError("corrupt Huffman codebook: bad length")
         max_len = int(lengths.max())
-        if max_len > MAX_CODE_WIDTH:
+        if max_len > MAX_CODE_LENGTH:
             raise DecompressionError(
                 f"Huffman code length {max_len} exceeds the "
-                f"{MAX_CODE_WIDTH}-bit format budget"
+                f"{MAX_CODE_LENGTH}-bit limit"
             )
         # Exact Kraft check over the length histogram: a canonical codebook
         # must tile the window space exactly.  A deficit means holes (the
@@ -315,46 +233,14 @@ class _DecodeTable:
             raise DecompressionError("incomplete Huffman codebook")
         # Canonical order is (length, symbol index); each code's window
         # span is 2**(max_len - length), and the spans tile [0, 2**max_len)
-        # in that order.
+        # in that order.  At most 2**16 symbols, so every entry fits in 22
+        # bits.
         order = np.lexsort((np.arange(lengths.size), lengths))
         sorted_len = lengths[order]
-        entries = (order.astype(np.int64) << 6) | sorted_len
-        spans = np.left_shift(1, max_len - sorted_len)
+        entries = ((order << 6) | sorted_len).astype(np.int32)
         self.max_len = max_len
-        self.symbols = _freeze(symbols)
-        self._scalar = None
-        if max_len <= FLAT_TABLE_BITS:
-            # At most 2**16 symbols, so every entry fits in 22 bits.
-            self.packed = _freeze(np.repeat(entries.astype(np.int32), spans))
-            self.bounds = None
-        else:
-            self.packed = _freeze(entries)
-            # Start of every span but the first: searchsorted(side="right")
-            # then returns the canonical index directly.
-            self.bounds = _freeze(np.cumsum(spans)[:-1])
-
-    def scalar_tables(self):
-        """Python-list lookup structures for the scalar legacy decoder."""
-        if self._scalar is None:
-            sym = self.symbols[self.packed >> 6].tolist()
-            length = (self.packed & 63).tolist()
-            if self.bounds is None:
-                self._scalar = (sym, length)
-            else:
-                self._scalar = (self.bounds.tolist(), sym, length)
-        return self._scalar
-
-
-def _cached_decode_table(
-    symbols: np.ndarray, lengths: np.ndarray
-) -> _DecodeTable:
-    key = _digest(b"dec", symbols, lengths)
-    cached = _DECODE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    table = _DecodeTable(symbols, lengths)
-    _DECODE_CACHE.put(key, table)
-    return table
+        self.symbols = symbols
+        self.packed = np.repeat(entries, np.left_shift(1, max_len - sorted_len))
 
 
 # -- the codec -----------------------------------------------------------
@@ -581,34 +467,42 @@ class HuffmanCodec:
         return decode_blobs([blob])[0]
 
 
+#: Most decode-table entries one round loop takes.  Each H2 blob brings
+#: its own table of up to 2**16 int32 entries and the loop concatenates
+#: them: 200 hostile 16-bit codebooks in one batch would otherwise hold
+#: 105 MB.  Real read groups stay far below it (at most 27,648 entries on
+#: copper-b, 42,240 on helium-b).
+_LOOP_TABLE_ENTRIES = 1 << 20
+
+
 def decode_blobs(blobs: Sequence[bytes]) -> list[np.ndarray]:
     """Decode Huffman blobs; returns one symbol array per blob, in order.
 
     Every H2 stream of every blob runs through one round loop (see
     :func:`_decode_h2`), so the batch costs as many rounds as its
-    longest blob rather than the sum over its blobs.  v1 blobs take the
-    scalar walker :func:`_decode_stream` one by one, counted as
+    longest blob rather than the sum over its blobs.  Each blob brings
+    its own decode table; once the waiting blobs' tables reach
+    :data:`_LOOP_TABLE_ENTRIES` entries, the loop runs on them and the
+    next blobs start a new one.  v1 blobs take the scalar walker
+    :func:`_decode_stream` one by one, counted as
     ``sz.huffman.decode.v1_blobs``; empty and single-symbol blobs need
-    no bit reading.  A codebook deeper than
-    :data:`FLAT_TABLE_BITS` runs the round loop in a batch of its own.
-    Any corrupt blob raises :class:`DecompressionError` for the batch.
+    no bit reading.  Any corrupt blob raises :class:`DecompressionError`
+    for the batch.
     """
     if not blobs:
         return []
     recorder = get_recorder()
     out: list = [None] * len(blobs)
-    flat: list[tuple[int, _H2Blob]] = []
-    deep: list[tuple[int, _H2Blob]] = []
-    symbols = rounds = walked = 0
+    pending: list[tuple[int, _H2Blob]] = []
+    entries = symbols = walked = h2_blobs = rounds = streams = 0
     with recorder.span("sz.huffman.decode", blobs=len(blobs)), \
             recorder.timer("sz.huffman.decode"):
         for i, blob in enumerate(blobs):
             parsed = _parse_blob(blob)
             if isinstance(parsed, _H2Blob):
                 symbols += parsed.n
-                (flat if parsed.table.bounds is None else deep).append(
-                    (i, parsed)
-                )
+                pending.append((i, parsed))
+                entries += parsed.table.packed.size
             elif isinstance(parsed, _V1Blob):
                 symbols += parsed.n
                 walked += 1
@@ -618,23 +512,24 @@ def decode_blobs(blobs: Sequence[bytes]) -> list[np.ndarray]:
             else:
                 symbols += parsed.size
                 out[i] = parsed
-        for group in [flat] + [[item] for item in deep]:
-            if group:
-                arrays, group_rounds = _decode_h2([h2 for _, h2 in group])
-                rounds += group_rounds
-                for (i, _), array in zip(group, arrays):
-                    out[i] = array
+            if pending and (
+                entries >= _LOOP_TABLE_ENTRIES or i == len(blobs) - 1
+            ):
+                arrays, loop_rounds = _decode_h2([h2 for _, h2 in pending])
+                h2_blobs += len(pending)
+                rounds += loop_rounds
+                streams += sum(h2.sizes.size for _, h2 in pending)
+                for (j, _), array in zip(pending, arrays):
+                    out[j] = array
+                pending, entries = [], 0
     if recorder.enabled:
         recorder.count("sz.huffman.decode.symbols", symbols)
         if walked:
             recorder.count("sz.huffman.decode.v1_blobs", walked)
-        if flat or deep:
-            recorder.count("sz.huffman.decode.h2_blobs", len(flat) + len(deep))
+        if h2_blobs:
+            recorder.count("sz.huffman.decode.h2_blobs", h2_blobs)
             recorder.count("sz.huffman.decode.rounds", rounds)
-            recorder.count(
-                "sz.huffman.decode.streams",
-                sum(h2.sizes.size for _, h2 in flat + deep),
-            )
+            recorder.count("sz.huffman.decode.streams", streams)
     return out
 
 
@@ -731,7 +626,7 @@ def _parse_blob(blob: bytes) -> np.ndarray | _H2Blob | _V1Blob:
         # Degenerate single-symbol alphabet: the 1-bit codes carry no
         # information beyond the count.
         return np.full(n, symbols[0], dtype=np.int64).astype(dtype, copy=False)
-    table = _cached_decode_table(symbols, lengths)
+    table = _DecodeTable(symbols, lengths)
     if version == 1:
         return _V1Blob(n, dtype, table, payload)
     return _H2Blob(n, dtype, table, sizes, counts, payload)
@@ -797,10 +692,6 @@ def _decode_h2(blobs: list[_H2Blob]) -> tuple[list[np.ndarray], int]:
     order (round-robin counts never increase) and its flat array is in
     symbol order, so it skips the sort and the un-permute copy.
     """
-    tables = {id(h2.table): h2.table.packed for h2 in blobs}
-    table_sizes = [table.size for table in tables.values()]
-    bases = dict(zip(tables, np.cumsum([0] + table_sizes)))
-    packed = np.concatenate(list(tables.values()))
     streams = [h2.sizes.size for h2 in blobs]
     sizes = np.concatenate([h2.sizes for h2 in blobs])
     counts = np.concatenate([h2.counts for h2 in blobs])
@@ -810,21 +701,20 @@ def _decode_h2(blobs: list[_H2Blob]) -> tuple[list[np.ndarray], int]:
         np.array([64 - h2.table.max_len for h2 in blobs], dtype=np.uint64),
         streams,
     )
-    offsets = None
-    if len(tables) > 1:
-        offsets = np.repeat(
-            np.array([bases[id(h2.table)] for h2 in blobs], dtype=np.int64),
-            streams,
-        )
-    bounds = blobs[0].table.bounds  # a deep codebook is a batch of its own
-    order = None
+    packed = blobs[0].table.packed
+    order = offsets = None
     if len(blobs) > 1:
-        order = np.argsort(-counts, kind="stable")
-        counts, cursors, ends, shifts = (
-            counts[order], cursors[order], ends[order], shifts[order]
+        # A blob's table starts where the tables before it end.
+        tables = [h2.table.packed for h2 in blobs]
+        packed = np.concatenate(tables)
+        offsets = np.repeat(
+            np.cumsum([0] + [table.size for table in tables[:-1]]), streams
         )
-        if offsets is not None:
-            offsets = offsets[order]
+        order = np.argsort(-counts, kind="stable")
+        counts, cursors, ends, shifts, offsets = (
+            counts[order], cursors[order], ends[order], shifts[order],
+            offsets[order],
+        )
     words = _byte_words(b"".join(h2.payload for h2 in blobs))
     flat = np.empty(int(counts.sum()), dtype=packed.dtype)
     rounds = int(counts[0])
@@ -852,13 +742,10 @@ def _decode_h2(blobs: list[_H2Blob]) -> tuple[list[np.ndarray], int]:
             np.bitwise_and(cur_u, 7, out=tmp_u)
             np.left_shift(win_u, tmp_u, out=win_u)
             np.right_shift(win_u, shift, out=win_u)
-            index = win
-            if bounds is not None:
-                index = np.searchsorted(bounds, win, side="right")
-            elif offset is not None:
+            if offset is not None:
                 np.add(win, offset, out=win)
             dst = flat[pos : pos + active]
-            packed.take(index, out=dst, mode="clip")
+            packed.take(win, out=dst, mode="clip")
             np.bitwise_and(dst, 63, out=length)
             np.add(cur, length, out=cur)
             pos += active
@@ -912,23 +799,11 @@ def _compact_symbols(symbols: np.ndarray) -> np.ndarray:
 
 
 def _decode_stream(payload: bytes, n: int, table: _DecodeTable) -> np.ndarray:
-    """Scalar sequential decode of ``n`` symbols (legacy v1 blobs).
-
-    Flat-table codebooks walk the original Python-int bit accumulator
-    loop; deeper codebooks substitute a ``bisect`` over the canonical span
-    starts for the table index, keeping memory at O(alphabet) instead of
-    O(2**max_len) — see the satellite cap in :class:`_DecodeTable`.
-    """
+    """Scalar sequential decode of ``n`` symbols (legacy v1 blobs): the
+    original Python-int bit accumulator loop over the blob's flat table."""
     max_len = table.max_len
-    if table.bounds is None:
-        table_sym, table_len = table.scalar_tables()
-        lookup = None
-    else:
-        bounds, sorted_sym, sorted_len = table.scalar_tables()
-
-        def lookup(window: int) -> int:
-            return bisect.bisect_right(bounds, window)
-
+    table_sym = table.symbols[table.packed >> 6].tolist()
+    table_len = (table.packed & 63).tolist()
     out: list[int] = []
     append = out.append
     acc = 0
@@ -940,13 +815,8 @@ def _decode_stream(payload: bytes, n: int, table: _DecodeTable) -> np.ndarray:
         nbits += 8
         while nbits >= max_len and remaining:
             window = (acc >> (nbits - max_len)) & mask
-            if lookup is None:
-                length = table_len[window]
-                append(table_sym[window])
-            else:
-                idx = lookup(window)
-                length = sorted_len[idx]
-                append(sorted_sym[idx])
+            length = table_len[window]
+            append(table_sym[window])
             nbits -= length
             remaining -= 1
         if not remaining:
@@ -959,16 +829,10 @@ def _decode_stream(payload: bytes, n: int, table: _DecodeTable) -> np.ndarray:
         window = ((acc << (max_len - nbits)) & mask) if nbits < max_len else (
             (acc >> (nbits - max_len)) & mask
         )
-        if lookup is None:
-            length = table_len[window]
-            symbol = table_sym[window]
-        else:
-            idx = lookup(window)
-            length = sorted_len[idx]
-            symbol = sorted_sym[idx]
+        length = table_len[window]
         if length > nbits:
             raise DecompressionError("Huffman stream exhausted mid-code")
-        append(symbol)
+        append(table_sym[window])
         nbits -= length
         remaining -= 1
     return np.asarray(out, dtype=np.int64)

@@ -260,11 +260,6 @@ class TracingRecorder(MetricsRecorder):
         parent = stack[-1].span_id if stack else None
         return (parent, merged)
 
-    def add_provenance(self, record: dict) -> None:
-        """Append one finished provenance record (bounded)."""
-        with self._lock:
-            self._add_provenance_locked(dict(record))
-
     # -- internals ------------------------------------------------------
 
     def _next_span_id(self) -> str:

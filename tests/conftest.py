@@ -13,6 +13,8 @@ from repro.core.mdz import MDZ
 from repro.serde import BlobReader, BlobWriter
 from repro.stream import format as fmt
 from repro.stream import parse_stream
+from repro.sz.bitio import pack_codes
+from repro.sz.huffman import HuffmanCodec, canonical_codes, code_lengths
 from repro.sz.lossless import lossless_compress, lossless_decompress
 
 #: Legacy MDZ1 archives, written before MDZ1 became read-only
@@ -156,6 +158,15 @@ HOSTILE_OFFSETS = {
 #: stream), keyed by case: negative, a string and null.
 FORGED_WIDE_N = {"negative": -1, "string": "x", "null": None}
 
+#: The message every forged-payload case raises: a forged ``wide_n``
+#: trips a builtin error that the reader reports as a corrupt chunk, and a
+#: level-delta blob re-coded 17 bits deep (one more than the encoder's
+#: cap) is the Huffman decoder's own rejection.
+FORGED_PAYLOADS = {
+    **{case: "corrupt chunk" for case in FORGED_WIDE_N},
+    "codebook-17-bit": "code length 17 exceeds",
+}
+
 #: Forged method tags of a chunk payload, keyed by case: a string, null,
 #: and a tag without ``"m"``.
 FORGED_TAGS = {
@@ -187,6 +198,45 @@ def _forge_wide_n(payload: bytes, value) -> bytes:
     meta["wide_n"] = value
     residuals = _sections(meta, codes, side)
     return lossless_compress(_sections(tag, _sections(head, rel, residuals)))
+
+
+def _deepen(blob: bytes, depth: int = 17) -> bytes:
+    """Huffman ``blob`` re-coded as a v1 blob over the same symbols with a
+    Kraft-complete codebook ``depth`` bits deep.
+
+    The deepest code, of length ``m``, is split one bit at a time: its
+    symbol ends at length ``depth`` and unused padding symbols take the
+    lengths ``m + 1 .. depth``, which keeps Kraft's sum at exactly 1.
+    """
+    dtype_tag = BlobReader(blob).read_json().get("dt", "<i8")
+    values = HuffmanCodec.decode(blob).astype(np.int64)
+    symbols, inverse, counts = np.unique(
+        values, return_inverse=True, return_counts=True
+    )
+    lengths = code_lengths(counts)
+    deepest = int(np.argmax(lengths))
+    pads = np.arange(lengths[deepest] + 1, depth + 1)
+    lengths[deepest] = depth
+    symbols = np.concatenate([symbols, symbols.max() + 1 + np.arange(pads.size)])
+    lengths = np.concatenate([lengths, pads])
+    codes = canonical_codes(lengths)
+    writer = BlobWriter()
+    writer.write_json({"n": int(values.size), "dense": None, "dt": dtype_tag})
+    writer.write_array(symbols)
+    writer.write_array(lengths.astype(np.uint8))
+    writer.write_bytes(pack_codes(codes[inverse], lengths[inverse]))
+    return writer.getvalue()
+
+
+def _forge_deep_codebook(payload: bytes) -> bytes:
+    """A zlib VQ chunk payload whose level-delta blob is re-coded by
+    :func:`_deepen`; the residual stream is kept as it is."""
+    chunk = BlobReader(lossless_decompress(payload))
+    tag, vq = chunk.read_json(), BlobReader(chunk.read_bytes())
+    head, rel, residuals = vq.read_json(), vq.read_bytes(), vq.read_bytes()
+    return lossless_compress(
+        _sections(tag, _sections(head, _deepen(rel), residuals))
+    )
 
 
 def _forge_tag(payload: bytes, edit) -> bytes:
@@ -241,14 +291,17 @@ def _forge_first_chunk(blob: bytes, forge) -> bytes:
 
 @pytest.fixture
 def forged_payloads(trajectory) -> dict[str, bytes]:
-    """``{case: archive}`` for every :data:`FORGED_WIDE_N` case: a VQ
+    """``{case: archive}`` for every :data:`FORGED_PAYLOADS` case: a VQ
     ``MDZ.compress`` archive of ``trajectory`` whose first chunk
-    (buffer 0, axis 0) claims that ``wide_n``."""
+    (buffer 0, axis 0) claims a :data:`FORGED_WIDE_N` value or carries
+    its level-delta blob 17 bits deep."""
     blob = MDZ(MDZConfig(buffer_size=4, method="vq")).compress(trajectory)
-    return {
+    cases = {
         case: _forge_first_chunk(blob, lambda p, v=value: _forge_wide_n(p, v))
         for case, value in FORGED_WIDE_N.items()
     }
+    cases["codebook-17-bit"] = _forge_first_chunk(blob, _forge_deep_codebook)
+    return cases
 
 
 @pytest.fixture

@@ -24,8 +24,8 @@ from repro.io.container import (
 from repro.stream import StreamingReader, parse_stream
 
 from .conftest import (
+    FORGED_PAYLOADS,
     FORGED_TAGS,
-    FORGED_WIDE_N,
     HOSTILE_COUNTS,
     HOSTILE_OFFSETS,
     _rewrite_mdz1,
@@ -217,11 +217,12 @@ class TestHostileOffsets:
 
 class TestForgedPayloads:
     """A chunk payload field a member cannot use (a VQ residual stream's
-    literal count ``wide_n`` of -1, "x" or null) raises
-    ``DecompressionError``, not the builtin error it trips, through
-    every reader."""
+    literal count ``wide_n`` of -1, "x" or null) or a Huffman codebook
+    deeper than the encoder writes raises ``DecompressionError``, not
+    the builtin error it trips nor the original values, through every
+    reader."""
 
-    @pytest.mark.parametrize("case", sorted(FORGED_WIDE_N))
+    @pytest.mark.parametrize("case", sorted(FORGED_PAYLOADS))
     def test_readers(self, forged_payloads, case):
         blob = forged_payloads[case]
         for read in (
@@ -229,7 +230,7 @@ class TestForgedPayloads:
             lambda: read_container_batch(blob, 0),
             lambda: StreamingReader(blob).read_all(),
         ):
-            with pytest.raises(DecompressionError, match="corrupt chunk"):
+            with pytest.raises(DecompressionError, match=FORGED_PAYLOADS[case]):
                 read()
 
 

@@ -2,6 +2,7 @@
 
 import functools
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -279,11 +280,11 @@ def _mid_batch(blob: bytes) -> np.ndarray:
     return out[2]
 
 
-def _assert_rejected(blob: bytes) -> None:
+def _assert_rejected(blob: bytes, match: str | None = None) -> None:
     """``blob`` raises DecompressionError alone and in mid-batch."""
-    with pytest.raises(DecompressionError):
+    with pytest.raises(DecompressionError, match=match):
         HuffmanCodec.decode(blob)
-    with pytest.raises(DecompressionError):
+    with pytest.raises(DecompressionError, match=match):
         _mid_batch(blob)
 
 
@@ -483,31 +484,36 @@ class TestH2Corruption:
 
 
 class TestDeepCodebookCap:
-    """Codebooks deeper than FLAT_TABLE_BITS must not allocate 2**max_len."""
+    """The decoder takes codes of 1 to MAX_CODE_LENGTH bits, as the
+    encoder writes them; a deeper codebook is rejected before any table
+    is built."""
 
-    @pytest.mark.parametrize("depth", [20, 40, 57])
-    def test_deep_legacy_blob_decodes(self, depth):
+    @staticmethod
+    def _blob(depth: int, version: int, n: int, seed: int):
+        """(values, blob): mostly short codes with a few deep ones."""
         symbols, lengths = _deep_codebook(depth)
-        rng = np.random.default_rng(depth)
-        # Mostly short codes with a few deep ones mixed in.
-        syms = np.where(
-            rng.random(2000) < 0.9, 0, rng.integers(0, symbols.size, 2000)
+        rng = np.random.default_rng(seed)
+        syms = np.where(rng.random(n) < 0.9, 0, rng.integers(0, symbols.size, n))
+        blob = _hand_rolled_blob(
+            symbols, lengths, syms, version=version,
+            n_streams=16 if version == 2 else None,
         )
-        blob = _hand_rolled_blob(symbols, lengths, syms, version=1)
-        out = HuffmanCodec.decode(blob)
-        assert np.array_equal(out, syms)
-        assert np.array_equal(_mid_batch(blob), syms)
+        return syms, blob
 
-    @pytest.mark.parametrize("depth", [20, 40, 57])
-    def test_deep_h2_blob_decodes(self, depth):
-        symbols, lengths = _deep_codebook(depth)
-        rng = np.random.default_rng(depth + 1)
-        syms = np.where(
-            rng.random(5000) < 0.9, 0, rng.integers(0, symbols.size, 5000)
-        )
-        blob = _hand_rolled_blob(symbols, lengths, syms, version=2, n_streams=16)
-        out = HuffmanCodec.decode(blob)
-        assert np.array_equal(out, syms)
+    @pytest.mark.parametrize("depth", [17, 20, 40, 57])
+    def test_deep_legacy_blob_rejected(self, depth):
+        _, blob = self._blob(depth, 1, 2000, depth)
+        _assert_rejected(blob, match=f"length {depth} exceeds the 16-bit")
+
+    @pytest.mark.parametrize("depth", [17, 20, 40, 57])
+    def test_deep_h2_blob_rejected(self, depth):
+        _, blob = self._blob(depth, 2, 5000, depth + 1)
+        _assert_rejected(blob, match=f"length {depth} exceeds the 16-bit")
+
+    @pytest.mark.parametrize("version", [1, 2], ids=["v1", "h2"])
+    def test_encoder_cap_decodes(self, version):
+        syms, blob = self._blob(MAX_CODE_LENGTH, version, 5000, version)
+        assert np.array_equal(HuffmanCodec.decode(blob), syms)
         assert np.array_equal(_mid_batch(blob), syms)
 
     def test_over_budget_depth_rejected(self):
@@ -661,6 +667,36 @@ class TestHostileCounts:
     def test_rejected_mid_batch(self):
         _assert_rejected(HOSTILE_COUNTS["h2-8-streams-3e8"])
 
+    @pytest.mark.parametrize("version", [1, 2], ids=["v1", "h2"])
+    def test_many_deep_codebooks_stay_bounded(self, version):
+        """200 small blobs, each with its own Kraft-complete 16-bit
+        codebook (a 2**16-entry table), decode in one batch to what they
+        decode to one by one, without holding every table at once."""
+        symbols, lengths = _deep_codebook(MAX_CODE_LENGTH)
+        rng = np.random.default_rng(23)
+        expected, blobs = [], []
+        for _ in range(200):
+            own = rng.permutation(lengths)
+            short = symbols[np.argmin(own)]
+            syms = np.where(
+                rng.random(64) < 0.8, short, rng.integers(0, symbols.size, 64)
+            )
+            expected.append(syms)
+            blobs.append(_hand_rolled_blob(
+                symbols, own, syms, version=version,
+                n_streams=8 if version == 2 else None,
+            ))
+        tracemalloc.start()
+        try:
+            out = decode_blobs(blobs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        for got, blob, want in zip(out, blobs, expected):
+            assert np.array_equal(got, HuffmanCodec.decode(blob))
+            assert np.array_equal(got, want)
+
     def test_stream_count_beyond_its_own_bits(self):
         # The payload as a whole could carry n symbols, but stream 0
         # claims more than its own bytes can: 80 symbols in 8 bytes
@@ -678,36 +714,7 @@ class TestHostileCounts:
 
 
 class TestCodebookCache:
-    def test_cache_hits_on_repeated_alphabet(self):
-        from repro.sz.huffman import clear_codebook_caches
-        from repro.telemetry import recording
-
-        clear_codebook_caches()
-        rng = np.random.default_rng(21)
-        arr = rng.integers(0, 50, 30000)
-        with recording() as rec:
-            first = HuffmanCodec.encode(arr)
-            HuffmanCodec.decode(first)
-            miss_after_first = rec.snapshot()["counters"]["sz.huffman.cache.miss"]
-            second = HuffmanCodec.encode(arr)
-            HuffmanCodec.decode(second)
-            snap = rec.snapshot()["counters"]
-        assert first == second
-        assert snap["sz.huffman.cache.miss"] == miss_after_first
-        assert snap.get("sz.huffman.cache.hit", 0) == 1
-
-    def test_clear_resets(self):
-        from repro.sz.huffman import _DECODE_CACHE, clear_codebook_caches
-
-        HuffmanCodec.decode(HuffmanCodec.encode(np.arange(100)))
-        assert len(_DECODE_CACHE) > 0
-        clear_codebook_caches()
-        assert len(_DECODE_CACHE) == 0
-
     def test_different_histograms_do_not_collide(self):
-        from repro.sz.huffman import clear_codebook_caches
-
-        clear_codebook_caches()
         a = np.array([0] * 100 + [1] * 5 + [2] * 5, dtype=np.int64)
         b = np.array([0] * 5 + [1] * 100 + [2] * 5, dtype=np.int64)
         assert np.array_equal(HuffmanCodec.decode(HuffmanCodec.encode(a)), a)

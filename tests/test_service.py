@@ -623,8 +623,9 @@ class TestStructuredErrors:
             ), (case, error)
 
     def test_forged_payloads_are_decompression_failed(self, forged_payloads):
-        """A forged member payload field is the archive's fault: 400
-        ``decompression_failed``, never 500."""
+        """A forged member payload field or a codebook deeper than the
+        encoder writes is the archive's fault: 400
+        ``decompression_failed``, never 500 nor a decoded array."""
 
         async def main():
             async with running_service() as svc:
@@ -637,8 +638,8 @@ class TestStructuredErrors:
                     }
 
         for case, resp in run(main()).items():
+            assert resp.status == 400, (case, resp.status)
             error = resp.json()["error"]
-            assert resp.status == 400, (case, error)
             assert error["code"] == "decompression_failed", (case, error)
 
     def test_unknown_routes_and_methods(self):
