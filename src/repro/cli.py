@@ -66,6 +66,7 @@ import numpy as np
 from . import __version__
 from .core.config import MDZConfig
 from .core.mdz import MDZ
+from .core.registry import method_names
 from .exceptions import ReproError
 from .io.container import read_container_info
 from .io.dump import frames_to_array, read_dump
@@ -146,7 +147,7 @@ def _cmd_compress(args: argparse.Namespace) -> int:
 
 
 def _parse_members(value: str) -> tuple:
-    """Split a ``--methods`` list: comma-separated registered members."""
+    """Split a ``--methods`` list: comma-separated members."""
     return tuple(part.strip() for part in value.split(",") if part.strip())
 
 
@@ -645,7 +646,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--buffer-size", type=int, default=10)
         p.add_argument(
             "--method",
-            choices=("adp", "vq", "vqt", "mt", "interp", "bitadaptive"),
+            choices=("adp", *method_names()),
             default="adp",
         )
         p.add_argument(
@@ -653,7 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
             type=_parse_members,
             default=None,
             metavar="M1,M2,...",
-            help="ADP candidate pool (comma-separated registered members; "
+            help="ADP candidate pool (comma-separated members; "
             "default vq,vqt,mt; only meaningful with --method adp)",
         )
         p.add_argument("--sequence", choices=("seq1", "seq2"), default="seq2")
@@ -723,7 +724,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--buffer-size", type=int, default=10)
     stats.add_argument(
         "--method",
-        choices=("adp", "vq", "vqt", "mt", "interp", "bitadaptive"),
+        choices=("adp", *method_names()),
         default="adp",
     )
     stats.add_argument(
@@ -731,7 +732,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_parse_members,
         default=None,
         metavar="M1,M2,...",
-        help="ADP candidate pool (comma-separated registered members)",
+        help="ADP candidate pool (comma-separated members)",
     )
     stats.add_argument("--sequence", choices=("seq1", "seq2"), default="seq2")
     stats.add_argument("--scale", type=int, default=1024)
@@ -794,7 +795,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--buffer-size", type=int, default=10)
     trace.add_argument(
         "--method",
-        choices=("adp", "vq", "vqt", "mt", "interp", "bitadaptive"),
+        choices=("adp", *method_names()),
         default="adp",
     )
     trace.add_argument(
@@ -802,7 +803,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_parse_members,
         default=None,
         metavar="M1,M2,...",
-        help="ADP candidate pool (comma-separated registered members)",
+        help="ADP candidate pool (comma-separated members)",
     )
     trace.add_argument("--sequence", choices=("seq1", "seq2"), default="seq2")
     trace.add_argument("--scale", type=int, default=1024)

@@ -13,10 +13,9 @@ Selection happens per axis — Table VI shows ADP picking VQ for x/y and MT
 for z on Copper-B — which falls out naturally here because every axis
 stream runs its own session.
 
-Trials are exhaustive, as in the paper: every member runs its fused
-``prepare`` kernels (sharing intermediates — VQT's head is a row slice of
-VQ's full-batch pass), then every member's payload is serialized and
-dictionary-coded, and the smallest *final* size wins.  The winner's
+Trials are exhaustive, as in the paper: every member independently
+runs its fused ``prepare`` kernels, serializes its payload and
+dictionary-codes it, and the smallest *final* size wins.  The winner's
 payload is the one the trial produced, so a trial costs no extra encode.
 """
 
@@ -28,7 +27,7 @@ import numpy as np
 
 from ..sz.lossless import lossless_compress
 from ..telemetry import get_recorder
-from .methods import MDZMethod, MethodState
+from .methods import MethodState
 from .registry import DEFAULT_MEMBERS, get_method, validate_members
 
 
@@ -47,27 +46,19 @@ class ADPSelector:
     """Periodic multi-way trial; keeps the winning method between trials.
 
     The candidate pool is configurable (``members``): any subset of the
-    registered methods (:func:`repro.core.registry.method_names`), so
-    new registry members — ``interp``, ``bitadaptive`` — join the trial
-    by name with no selector changes.  The default pool is the paper's
-    three-way VQ/VQT/MT trial.
+    member table (:data:`repro.core.registry.MEMBERS`), so ``interp`` and
+    ``bitadaptive`` join the trial by name with no selector changes.  The
+    default pool is the paper's three-way VQ/VQT/MT trial.
     """
 
     interval: int = 50
     members: tuple[str, ...] = DEFAULT_MEMBERS
-    methods: dict[str, MDZMethod] | None = None
     current: str | None = None
     buffers_seen: int = 0
     history: list[SelectionRecord] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.methods is None:
-            self.methods = {
-                name: get_method(name)
-                for name in validate_members(self.members)
-            }
-        else:
-            self.members = tuple(self.methods)
+        self.members = validate_members(self.members)
 
     def trial_due(self) -> bool:
         """True when the next buffer must run a multi-way trial.
@@ -117,21 +108,17 @@ class ADPSelector:
             # annotated after the span closes, so it does land there.
             with recorder.timer("adp.trial"), \
                     recorder.span("adp.trial", absorb=True):
-                # The shared dict lets VQT slice VQ's full-batch
-                # intermediates instead of re-quantizing the head snapshot.
                 # Members are ranked by *final* size: the dictionary coder
                 # is where e.g. VQ's repeated level-index streams
                 # collapse, so ranking raw payloads would misjudge them.
-                shared: dict = {}
                 prepared: dict[str, object] = {}
                 blobs: dict[str, bytes] = {}
                 sizes: dict[str, int] = {}
-                for name, method in self.methods.items():
+                for name in self.members:
+                    method = get_method(name)
                     with recorder.span(f"adp.trial.{name}", absorb=True):
                         trial_state = state.clone_for_trial()
-                        prepared[name] = method.prepare(
-                            batch, trial_state, shared
-                        )
+                        prepared[name] = method.prepare(batch, trial_state)
                         blobs[name] = method.serialize(
                             prepared[name], trial_state
                         )
@@ -158,11 +145,11 @@ class ADPSelector:
                 )
             )
             blob = blobs[self.current]
-            recon = self.methods[self.current].reconstruction(
+            recon = get_method(self.current).reconstruction(
                 prepared[self.current]
             )
         else:
-            blob, recon = self.methods[self.current].encode(batch, state)
+            blob, recon = get_method(self.current).encode(batch, state)
         self.buffers_seen += 1
         return self.current, blob, recon
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from ..sz.stages import BITPACK
 from .mt import MTMethod
-from .registry import register_method
 
 
 class BitAdaptiveMethod(MTMethod):
@@ -27,15 +26,3 @@ class BitAdaptiveMethod(MTMethod):
 
     name = "bitadaptive"
     encoder = BITPACK
-
-
-register_method(
-    "bitadaptive",
-    BitAdaptiveMethod,
-    needs_reference=True,
-    description=(
-        "MT prediction with per-region (offset, bit-width) fixed "
-        "packing instead of Huffman; wins when local code ranges differ "
-        "across a buffer (arXiv 2404.02826)"
-    ),
-)

@@ -11,16 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..exceptions import ConfigurationError
-
-#: Method names accepted by :attr:`MDZConfig.method`: ``"adp"`` plus
-#: every registered member (wire-id order; see
-#: :func:`repro.core.registry.method_names`).
-METHODS = ("adp", "vq", "vqt", "mt", "interp", "bitadaptive")
-
-#: Default ADP candidate pool (the paper's three-way trial).  Mirrors
-#: :data:`repro.core.registry.DEFAULT_MEMBERS`; kept literal here so
-#: importing the config module stays dependency-light.
-DEFAULT_ADP_MEMBERS = ("vq", "vqt", "mt")
+from .registry import DEFAULT_MEMBERS, method_names, validate_members
 
 #: Error-bound interpretation modes.
 ERROR_BOUND_MODES = ("value_range", "absolute")
@@ -52,12 +43,13 @@ class MDZConfig:
     sequence_mode:
         ``"seq2"`` (particle-major, default) or ``"seq1"`` (Table III).
     method:
-        ``"adp"`` (default) or a fixed registered member — ``"vq"``,
-        ``"vqt"``, ``"mt"``, ``"interp"``, or ``"bitadaptive"``.
+        ``"adp"`` (default) or a fixed member, any name in
+        :data:`repro.core.registry.MEMBERS` — ``"vq"``, ``"vqt"``,
+        ``"mt"``, ``"interp"``, or ``"bitadaptive"``.
     adp_members:
         The candidate pool ADP trials choose from (ignored for fixed
         methods).  Defaults to the paper's three-way VQ/VQT/MT trial;
-        any registered member may be listed (``docs/stages.md``).  The
+        any member may be listed (``docs/stages.md``).  The
         container/stream header records a non-default pool.
     adaptation_interval:
         Buffers between ADP re-evaluations (the paper: every 50
@@ -86,7 +78,7 @@ class MDZConfig:
     quantization_scale: int = 1024
     sequence_mode: str = "seq2"
     method: str = "adp"
-    adp_members: tuple = DEFAULT_ADP_MEMBERS
+    adp_members: tuple = DEFAULT_MEMBERS
     adaptation_interval: int = 50
     lossless_backend: str = "zlib"
     level_seed: int = 0
@@ -125,14 +117,13 @@ class MDZConfig:
                 f"sequence_mode must be one of {SEQUENCE_MODES}, "
                 f"got {self.sequence_mode!r}"
             )
-        if self.method not in METHODS:
+        methods = ("adp", *method_names())
+        if self.method not in methods:
             raise ConfigurationError(
-                f"method must be one of {METHODS}, got {self.method!r}"
+                f"method must be one of {methods}, got {self.method!r}"
             )
         self.adp_members = tuple(self.adp_members)
         if self.method == "adp":
-            from .registry import validate_members
-
             validate_members(self.adp_members)
         if self.adaptation_interval < 1:
             raise ConfigurationError(

@@ -14,7 +14,7 @@ drift).  Time-wise chain prediction (VQT/MT tails) pays for the full
 first difference of every snapshot; a midpoint interpolation cancels the
 linear component, leaving residuals proportional to the *second*
 difference.  The ADP selector picks this member per buffer whenever that
-trade is favourable (``--methods adp --adp-members ...interp``).
+trade is favourable (``--method adp --methods vq,vqt,mt,interp``).
 
 Buffers are self-contained (no session reference, like VQ), so interp
 buffers decode in isolation and mix freely with any other member under
@@ -39,7 +39,6 @@ from ..sz.pipeline import (
 from ..sz.predictors import lorenzo_1d_encode, lorenzo_1d_reconstruct
 from ..sz.quantizer import QuantizedBlock
 from .methods import MDZMethod, MethodState
-from .registry import register_method
 
 #: Interpolation orders, in trial order (ties go to the earlier entry).
 ORDERS = ("linear", "cubic")
@@ -90,7 +89,7 @@ class InterpMethod(MDZMethod):
             recon=recon,
         )
 
-    def prepare(self, batch, state: MethodState, shared=None):
+    def prepare(self, batch, state: MethodState):
         best = None
         best_cost = None
         for order in ORDERS:
@@ -183,14 +182,3 @@ class InterpMethod(MDZMethod):
     # Readers call parse; decode stays in the class's own namespace
     # because mdzbench/layertrace.py wraps it by name.
     decode = MDZMethod.decode
-
-
-register_method(
-    "interp",
-    InterpMethod,
-    description=(
-        "SZ3-style temporal interpolation cascade (linear/cubic chosen "
-        "per buffer); residuals track second differences, so it wins on "
-        "smoothly curving trajectories"
-    ),
-)

@@ -30,8 +30,14 @@ from ..telemetry import get_recorder
 from .adaptive import ADPSelector
 from .config import MDZConfig
 from .levels import SessionLevelModel
-from .methods import METHOD_IDS, METHOD_NAMES, MethodState
-from .registry import get_method, method_entry
+from .methods import MethodState
+from .registry import (
+    MEMBERS,
+    METHOD_IDS,
+    METHOD_NAMES,
+    get_method,
+    method_entry,
+)
 
 
 class MDZAxisCompressor(Compressor):
@@ -301,15 +307,8 @@ class MDZ:
 
 
 register_compressor("mdz", lambda: MDZAxisCompressor(MDZConfig(method="adp")))
-register_compressor("mdz-vq", lambda: MDZAxisCompressor(MDZConfig(method="vq")))
-register_compressor(
-    "mdz-vqt", lambda: MDZAxisCompressor(MDZConfig(method="vqt"))
-)
-register_compressor("mdz-mt", lambda: MDZAxisCompressor(MDZConfig(method="mt")))
-register_compressor(
-    "mdz-interp", lambda: MDZAxisCompressor(MDZConfig(method="interp"))
-)
-register_compressor(
-    "mdz-bitadaptive",
-    lambda: MDZAxisCompressor(MDZConfig(method="bitadaptive")),
-)
+for _entry in MEMBERS:
+    register_compressor(
+        f"mdz-{_entry.name}",
+        lambda method=_entry.name: MDZAxisCompressor(MDZConfig(method=method)),
+    )

@@ -4,7 +4,8 @@ Each method (VQ, VQT, MT, interp, bitadaptive) is a stateless strategy
 object operating on a :class:`MethodState` that carries the per-session
 artifacts: the quantizer, the cached level model, the sequence layout,
 and — for MT — the reconstruction of the session's first snapshot (the
-paper's "snapshot 0").
+paper's "snapshot 0").  The members and their wire ids are the rows of
+:data:`repro.core.registry.MEMBERS`.
 
 ``encode`` returns both the serialized payload *and* the full batch
 reconstruction; the session uses the reconstruction to maintain the MT
@@ -29,15 +30,6 @@ import numpy as np
 from ..sz.huffman import HuffmanBatch, decode_single
 from ..sz.quantizer import LinearQuantizer
 from .levels import SessionLevelModel
-
-#: Wire ids of the methods (stored per batch in the container).  This is
-#: the single source of truth for the container format: a member cannot
-#: be registered (:func:`repro.core.registry.register_method`) without a
-#: reserved id here, and ids are never reused — see
-#: ``docs/formats.md#method-payloads``.
-METHOD_IDS = {"vq": 1, "vqt": 2, "mt": 3, "interp": 4, "bitadaptive": 5}
-METHOD_NAMES = {v: k for k, v in METHOD_IDS.items()}
-
 
 @dataclass
 class MethodState:
@@ -86,20 +78,18 @@ class MethodState:
 class MDZMethod(ABC):
     """One of MDZ's prediction strategies (VQ / VQT / MT / ...).
 
-    The encode side is split into two stages so an ADP trial can share
-    work between members:
+    The encode side is split into two stages so an ADP trial can rank
+    every member by its payload and keep the winner's reconstruction:
 
     * :meth:`prepare` — the fused quantize/predict/residual kernels.
       Returns a method-specific prepared object carrying every
-      intermediate (including the batch reconstruction).  Trial members
-      share work through the optional ``shared`` dict: VQ publishes its
-      full-batch pass there and VQT derives its head from a row slice of
-      it instead of re-quantizing.
+      intermediate (including the batch reconstruction).
     * :meth:`serialize` — turns a prepared object into the wire payload.
 
     :meth:`encode` composes the two stages and is what non-trial callers
     use.  A member holds its stages directly (module functions or a
     backend object such as :data:`repro.sz.stages.HUFFMAN_INT_STREAM`).
+    Its wire id lives in its row of :data:`repro.core.registry.MEMBERS`.
 
     The decode side is :meth:`parse` plus the reconstruct step it
     returns; :meth:`decode` runs them as a batch of one.
@@ -108,13 +98,8 @@ class MDZMethod(ABC):
     #: Short name ("vq", "vqt", "mt", ...).
     name: str = "abstract"
 
-    @property
-    def method_id(self) -> int:
-        """Wire id of this method."""
-        return METHOD_IDS[self.name]
-
     @abstractmethod
-    def prepare(self, batch: np.ndarray, state: MethodState, shared=None):
+    def prepare(self, batch: np.ndarray, state: MethodState):
         """Run the fused encode kernels; returns the prepared intermediates."""
 
     @abstractmethod

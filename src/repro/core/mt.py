@@ -32,7 +32,6 @@ from ..sz.predictors import (
 from ..sz.quantizer import QuantizedBlock
 from ..sz.stages import HUFFMAN_INT_STREAM
 from .methods import MDZMethod, MethodState
-from .registry import register_method
 
 
 @dataclass
@@ -60,7 +59,7 @@ class MTMethod(MDZMethod):
     #: over quantized blocks (:mod:`repro.sz.stages`).
     encoder = HUFFMAN_INT_STREAM
 
-    def prepare(self, batch, state: MethodState, shared=None):
+    def prepare(self, batch, state: MethodState):
         bootstrap = state.reference is None
         recon = np.empty_like(batch, dtype=np.float64)
         anchor = None
@@ -172,15 +171,3 @@ class MTMethod(MDZMethod):
     # Readers call parse; decode stays in the class's own namespace
     # because mdzbench/layertrace.py wraps it by name.
     decode = MDZMethod.decode
-
-
-register_method(
-    "mt",
-    MTMethod,
-    needs_reference=True,
-    description=(
-        "Multi-level time-based: buffer head predicted from the session "
-        "reference snapshot (Lorenzo bootstrap for the first buffer), "
-        "tail chained time-wise (Section VI-B)"
-    ),
-)

@@ -30,27 +30,17 @@ from ..sz.pipeline import (
 )
 from ..sz.quantizer import QuantizedBlock
 from .methods import MDZMethod, MethodState
-from .registry import register_method
 
 
 @dataclass
 class VQPrepared:
-    """Intermediates of one VQ pass, kept for reuse.
-
-    The fused prepare kernel computes everything the serializer *and* the
-    reconstruction need in one pass; ADP trials additionally slice these
-    arrays to derive the VQT head without re-quantizing (``absolute`` and
-    ``mask`` exist so a sub-range can be re-split without replaying the
-    predictor).
-    """
+    """Intermediates of one VQ pass: everything the serializer *and* the
+    reconstruction need, computed by one fused prepare kernel."""
 
     fit: LevelFit
     shape: tuple[int, ...]
-    levels: np.ndarray
     rel: np.ndarray
     block: QuantizedBlock
-    absolute: np.ndarray
-    mask: np.ndarray
     recon: np.ndarray
 
 
@@ -88,46 +78,7 @@ def vq_prepare(
     # Relative level indexes: delta within each snapshot, first from 0.
     rel = np.diff(levels, axis=1, prepend=np.zeros((batch.shape[0], 1), np.int64))
     return VQPrepared(
-        fit=fit,
-        shape=tuple(batch.shape),
-        levels=levels,
-        rel=rel,
-        block=block,
-        absolute=absolute,
-        mask=mask,
-        recon=recon,
-    )
-
-
-def vq_head_slice(prepared: VQPrepared, rows: int) -> VQPrepared:
-    """Re-derive the prepare result of ``batch[:rows]`` from a full pass.
-
-    Every per-point array of a VQ pass over ``batch[:rows]`` equals the
-    corresponding row slice of the full-batch pass (prediction never
-    crosses snapshots, and the within-snapshot level deltas start fresh on
-    every row), so the only work is re-extracting the side channel for the
-    narrowed mask.
-    """
-    quantizer_marker = prepared.block.marker
-    order = prepared.block.order
-    mask = prepared.mask[:rows]
-    absolute = prepared.absolute[:rows]
-    wide = absolute.T[mask.T] if order == "F" else absolute[mask]
-    block = QuantizedBlock(
-        codes=prepared.block.codes[:rows],
-        wide=wide,
-        marker=quantizer_marker,
-        order=order,
-    )
-    return VQPrepared(
-        fit=prepared.fit,
-        shape=(rows,) + prepared.shape[1:],
-        levels=prepared.levels[:rows],
-        rel=prepared.rel[:rows],
-        block=block,
-        absolute=absolute,
-        mask=mask,
-        recon=prepared.recon[:rows],
+        fit=fit, shape=tuple(batch.shape), rel=rel, block=block, recon=recon
     )
 
 
@@ -173,22 +124,12 @@ def vq_estimate_bytes(prepared: VQPrepared, state: MethodState) -> int:
     )
 
 
-def vq_encode_array(
-    batch: np.ndarray, fit: LevelFit, state: MethodState
-) -> tuple[bytes, np.ndarray]:
-    """Encode a (T, N) array with level prediction; returns (blob, recon).
-
-    Shared by VQ (whole buffers) and VQT (first snapshot only).
-    """
-    prepared = vq_prepare(batch, fit, state)
-    return vq_serialize(prepared, state), prepared.recon
-
-
 def vq_parse_array(
     blob: bytes, state: MethodState, batch: HuffmanBatch
 ) -> Callable[[], np.ndarray]:
-    """Parse step of a :func:`vq_encode_array` blob: registers its two
-    Huffman sub-blobs with ``batch``; returns the reconstruct step."""
+    """Parse step of a :func:`vq_serialize` blob, shared by VQ (whole
+    buffers) and VQT (first snapshot only): registers its two Huffman
+    sub-blobs with ``batch``; returns the reconstruct step."""
     layout = state.layout
     reader = BlobReader(blob)
     meta = reader.read_json()
@@ -243,14 +184,8 @@ class VQMethod(MDZMethod):
 
     name = "vq"
 
-    def prepare(self, batch, state, shared=None):
-        if shared is not None and "vq_full" in shared:
-            return shared["vq_full"]
-        fit = state.levels.fit_for(batch[0])
-        prepared = vq_prepare(batch, fit, state)
-        if shared is not None:
-            shared["vq_full"] = prepared
-        return prepared
+    def prepare(self, batch, state):
+        return vq_prepare(batch, state.levels.fit_for(batch[0]), state)
 
     def serialize(self, prepared, state):
         return vq_serialize(prepared, state)
@@ -268,14 +203,3 @@ class VQMethod(MDZMethod):
     # Readers call parse; decode stays in the class's own namespace
     # because mdzbench/layertrace.py wraps it by name.
     decode = MDZMethod.decode
-
-
-register_method(
-    "vq",
-    VQMethod,
-    description=(
-        "Vector-quantization: every point predicted by its nearest "
-        "crystal-level centroid; buffers decode in isolation "
-        "(Algorithm 1)"
-    ),
-)

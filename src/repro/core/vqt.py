@@ -22,13 +22,10 @@ from ..sz.pipeline import (
 )
 from ..sz.predictors import timewise_encode, timewise_reconstruct
 from ..sz.quantizer import QuantizedBlock
-from ..telemetry import get_recorder
 from .methods import MDZMethod, MethodState
-from .registry import register_method
 from .vq import (
     VQPrepared,
     vq_estimate_bytes,
-    vq_head_slice,
     vq_parse_array,
     vq_prepare,
     vq_serialize,
@@ -50,17 +47,8 @@ class VQTMethod(MDZMethod):
 
     name = "vqt"
 
-    def prepare(self, batch, state: MethodState, shared=None):
-        if shared is not None and "vq_full" in shared:
-            # An ADP trial already ran VQ over the whole batch; the VQ
-            # head over batch[:1] is a row slice of that pass.
-            head = vq_head_slice(shared["vq_full"], 1)
-            recorder = get_recorder()
-            if recorder.enabled:
-                recorder.count("adp.trial.reused_intermediates")
-        else:
-            fit = state.levels.fit_for(batch[0])
-            head = vq_prepare(batch[:1], fit, state)
+    def prepare(self, batch, state: MethodState):
+        head = vq_prepare(batch[:1], state.levels.fit_for(batch[0]), state)
         recon = np.empty_like(batch, dtype=np.float64)
         recon[0] = head.recon[0]
         tail = None
@@ -125,13 +113,3 @@ class VQTMethod(MDZMethod):
     # Readers call parse; decode stays in the class's own namespace
     # because mdzbench/layertrace.py wraps it by name.
     decode = MDZMethod.decode
-
-
-register_method(
-    "vqt",
-    VQTMethod,
-    description=(
-        "VQ head + time-based tail: spatial levels pay for the buffer "
-        "head, temporal smoothness for the rest (Section VI-A)"
-    ),
-)

@@ -2,8 +2,8 @@
 
 Compressed payloads in this library are assembled from small, self-describing
 *sections*.  A section is either a raw byte blob, a numpy array (dtype and
-shape are recorded in the frame so the reader needs no out-of-band schema), a
-UTF-8 string, or a JSON-serializable metadata object.  Framing every piece of
+shape are recorded in the frame so the reader needs no out-of-band schema),
+or a JSON-serializable metadata object.  Framing every piece of
 a payload keeps the individual compressors honest: the sizes reported in the
 benchmarks are the sizes of complete, decodable streams, headers included.
 
@@ -38,7 +38,7 @@ class SectionTag(IntEnum):
 
     BYTES = 1
     ARRAY = 2
-    STRING = 3
+    # 3 was a UTF-8 string section; reserved, never reused.
     JSON = 4
 
 
@@ -59,10 +59,6 @@ class BlobWriter:
     def write_bytes(self, data: bytes) -> None:
         """Append a raw byte blob section."""
         self._write_frame(SectionTag.BYTES, data)
-
-    def write_string(self, text: str) -> None:
-        """Append a UTF-8 string section."""
-        self._write_frame(SectionTag.STRING, text.encode("utf-8"))
 
     def write_json(self, obj: Any) -> None:
         """Append a JSON metadata section (compact separators)."""
@@ -113,10 +109,6 @@ class BlobReader:
     def read_bytes(self) -> bytes:
         """Read the next section, which must be a raw byte blob."""
         return self._read_frame(SectionTag.BYTES)
-
-    def read_string(self) -> str:
-        """Read the next section, which must be a UTF-8 string."""
-        return self._read_frame(SectionTag.STRING).decode("utf-8")
 
     def read_json(self) -> Any:
         """Read the next section, which must be a JSON object."""
@@ -175,19 +167,3 @@ class BlobReader:
         if len(data) != n:
             raise DecompressionError("truncated stream: short array header")
         return data
-
-
-def pack_blobs(blobs: list[bytes]) -> bytes:
-    """Concatenate independent byte blobs into one stream with an index."""
-    writer = BlobWriter()
-    writer.write_json(len(blobs))
-    for blob in blobs:
-        writer.write_bytes(blob)
-    return writer.getvalue()
-
-
-def unpack_blobs(stream: bytes) -> list[bytes]:
-    """Inverse of :func:`pack_blobs`."""
-    reader = BlobReader(stream)
-    count = int(reader.read_json())
-    return [reader.read_bytes() for _ in range(count)]

@@ -43,7 +43,7 @@ from typing import Iterator
 import numpy as np
 
 from ..core.mdz import forged_fields
-from ..core.methods import METHOD_NAMES
+from ..core.registry import METHOD_NAMES
 from ..exceptions import ContainerFormatError
 from ..io.container import (
     ContainerInfo,

@@ -7,7 +7,7 @@ DEFLATE here).  This subpackage provides each stage as a reusable component
 plus the SZ2 baseline compressor assembled from them.
 """
 
-from .bitio import BitReader, BitWriter
+from .bitio import BitWriter
 from .huffman import HuffmanCodec
 from .lossless import available_backends, lossless_compress, lossless_decompress
 from .quantizer import LinearQuantizer, QuantizedBlock
@@ -26,7 +26,6 @@ from .interp import SZInterpCompressor
 from .sz2 import SZ2Compressor
 
 __all__ = [
-    "BitReader",
     "BitWriter",
     "HuffmanCodec",
     "LinearQuantizer",

@@ -1,17 +1,18 @@
-"""Bit-level stream I/O with vectorized helpers.
+"""Vectorized bit-level helpers shared by the integer coders.
 
-Two layers are provided:
+* :func:`pack_codes` — fully vectorized packing of per-symbol
+  variable-length codes (MSB first), used by the Huffman encoder and the
+  bit-adaptive packer, where the (code, length) pairs for the whole
+  symbol array are known up front.
+* :func:`encode_varints` / :func:`decode_varints` / :func:`varint_size` —
+  LEB128 varints, and :func:`zigzag_encode` / :func:`zigzag_decode`, the
+  mapping between signed and unsigned integers, shared by the quantized
+  int-stream side channel and several baselines (TNG, HRTC, LFZip).
+* :func:`clz64` — leading-zero count of 64-bit words (varint sizing, the
+  Gorilla baseline).
 
-* :class:`BitWriter` / :class:`BitReader` — scalar bit streams used by the
-  baseline coders (FPC, Gorilla, ZFP-like) where code layout is inherently
-  sequential.
-* :func:`pack_codes` / :func:`unpack_codes` — fully vectorized packing of
-  per-symbol variable-length codes, used by the Huffman encoder where the
-  (code, length) pairs for the whole symbol array are known up front.
-
-Also included are LEB128 varints (:func:`write_varint` and friends) and the
-zigzag mapping between signed and unsigned integers that several integer
-coders in this package share.
+:class:`BitWriter` is the scalar MSB-first bit stream that
+:func:`pack_codes` is checked against.
 """
 
 from __future__ import annotations
@@ -43,10 +44,6 @@ class BitWriter:
             self._bytes.append((self._acc >> self._nbits) & 0xFF)
         self._acc &= (1 << self._nbits) - 1
 
-    def write_bit(self, bit: int) -> None:
-        """Append a single bit."""
-        self.write(bit & 1, 1)
-
     def getvalue(self) -> bytes:
         """Return the stream, zero-padding the final partial byte."""
         out = bytes(self._bytes)
@@ -58,40 +55,6 @@ class BitWriter:
     def bit_length(self) -> int:
         """Total number of bits written so far."""
         return 8 * len(self._bytes) + self._nbits
-
-
-class BitReader:
-    """Reads bit fields from a byte string produced by :class:`BitWriter`."""
-
-    def __init__(self, data: bytes) -> None:
-        self._data = data
-        self._pos = 0  # bit cursor
-
-    def read(self, nbits: int) -> int:
-        """Read ``nbits`` bits (MSB first) and return them as an int."""
-        if nbits == 0:
-            return 0
-        end = self._pos + nbits
-        if end > 8 * len(self._data):
-            raise DecompressionError("bit stream exhausted")
-        value = 0
-        pos = self._pos
-        data = self._data
-        remaining = nbits
-        while remaining > 0:
-            byte_idx, bit_idx = divmod(pos, 8)
-            take = min(8 - bit_idx, remaining)
-            chunk = data[byte_idx] >> (8 - bit_idx - take)
-            chunk &= (1 << take) - 1
-            value = (value << take) | chunk
-            pos += take
-            remaining -= take
-        self._pos = pos
-        return value
-
-    def read_bit(self) -> int:
-        """Read a single bit."""
-        return self.read(1)
 
 
 def zigzag_encode(values: np.ndarray) -> np.ndarray:
@@ -305,8 +268,3 @@ def pack_codes(codes: np.ndarray, lengths: np.ndarray) -> bytes:
         _place_codes(words, masked, chunk_lens, base_bit)
         base_bit += chunk_bits
     return words.astype(">u8").tobytes()[: (total + 7) >> 3]
-
-
-def unpack_bits(data: bytes) -> np.ndarray:
-    """Expand a byte string into an array of bits (uint8, MSB first)."""
-    return np.unpackbits(np.frombuffer(data, dtype=np.uint8))

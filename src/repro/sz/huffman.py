@@ -624,7 +624,13 @@ def _parse_blob(blob: bytes) -> np.ndarray | _H2Blob | _V1Blob:
         sizes, counts = _check_streams(n_streams, sizes, n, payload)
     if symbols.size == 1:
         # Degenerate single-symbol alphabet: the 1-bit codes carry no
-        # information beyond the count.
+        # information beyond the count.  The encoder gives a lone symbol
+        # a 1-bit code; any other length is a forged codebook.
+        if int(lengths[0]) != 1:
+            raise DecompressionError(
+                f"one-symbol Huffman codebook with a {int(lengths[0])}-bit "
+                "code; the encoder writes 1 bit"
+            )
         return np.full(n, symbols[0], dtype=np.int64).astype(dtype, copy=False)
     table = _DecodeTable(symbols, lengths)
     if version == 1:

@@ -75,19 +75,22 @@ def interpolate(
     right_idx = np.minimum(idx + stride, t_count - 1)
     usable = idx + stride < t_count
     right = np.where(usable[:, None], recon[right_idx], left)
+    pred = 0.5 * (left + right)
     if order == "linear":
-        return 0.5 * (left + right)
-    # Cubic: use two extra anchors at +-3*stride where available.
-    far_left_idx = np.maximum(idx - 3 * stride, 0)
-    far_right_idx = np.minimum(idx + 3 * stride, t_count - 1)
-    have_fl = idx - 3 * stride >= 0
-    have_fr = (idx + 3 * stride < t_count) & usable
-    cubic_ok = have_fl & have_fr
-    far_left = recon[far_left_idx]
-    far_right = recon[far_right_idx]
-    cubic = (-far_left + 9.0 * left + 9.0 * right - far_right) / 16.0
-    linear = 0.5 * (left + right)
-    return np.where(cubic_ok[:, None], cubic, linear)
+        return pred
+    # Cubic: use two extra anchors at +-3*stride where both exist.  Only
+    # those lanes are computed: the rows past either end are not
+    # reconstructed yet, and arithmetic on them could raise FP flags.
+    cubic_ok = (idx - 3 * stride >= 0) & (idx + 3 * stride < t_count)
+    if cubic_ok.any():
+        mids = idx[cubic_ok]
+        pred[cubic_ok] = (
+            -recon[mids - 3 * stride]
+            + 9.0 * left[cubic_ok]
+            + 9.0 * right[cubic_ok]
+            - recon[mids + 3 * stride]
+        ) / 16.0
+    return pred
 
 
 def reconstruct_level(block, pred, quantizer) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Tests for bit streams, varints, zigzag, and vectorized code packing."""
+"""Tests for the bit writer, varints, zigzag, and vectorized code packing."""
 
 import numpy as np
 import pytest
@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 
 from repro.exceptions import DecompressionError
 from repro.sz.bitio import (
-    BitReader,
     BitWriter,
     clz64,
     decode_varints,
     encode_varints,
     pack_codes,
-    unpack_bits,
     zigzag_decode,
     zigzag_encode,
 )
@@ -25,37 +23,19 @@ class TestBitStream:
         w.write(0b101, 3)
         w.write(0xFFFF, 16)
         w.write(0, 5)
-        r = BitReader(w.getvalue())
-        assert r.read(3) == 0b101
-        assert r.read(16) == 0xFFFF
-        assert r.read(5) == 0
-
-    def test_single_bits(self):
-        w = BitWriter()
-        bits = [1, 0, 1, 1, 0, 0, 1, 0, 1]
-        for b in bits:
-            w.write_bit(b)
-        r = BitReader(w.getvalue())
-        assert [r.read_bit() for _ in bits] == bits
+        # 101 11111 | 11111111 | 111 00000
+        assert w.getvalue() == b"\xbf\xff\xe0"
 
     def test_wide_field(self):
         w = BitWriter()
         w.write(2**63 + 12345, 64)
-        assert BitReader(w.getvalue()).read(64) == 2**63 + 12345
+        assert w.getvalue() == (2**63 + 12345).to_bytes(8, "big")
 
     def test_bit_length_property(self):
         w = BitWriter()
         w.write(3, 2)
         w.write(1, 9)
         assert w.bit_length == 11
-
-    def test_exhaustion_raises(self):
-        w = BitWriter()
-        w.write(1, 4)
-        r = BitReader(w.getvalue())
-        r.read(8)  # padding byte allows this
-        with pytest.raises(DecompressionError):
-            r.read(8)
 
     def test_negative_nbits_rejected(self):
         with pytest.raises(ValueError):
@@ -69,14 +49,18 @@ class TestBitStream:
     )
     @settings(max_examples=60, deadline=None)
     def test_property_round_trip(self, fields):
+        """The stream is the fields' bits, MSB first, zero-padded to a
+        whole byte."""
         w = BitWriter()
-        expected = []
+        expected = 0
         for value, nbits in fields:
             w.write(value, nbits)
-            expected.append(value & ((1 << nbits) - 1))
-        r = BitReader(w.getvalue())
-        got = [r.read(nbits) for _, nbits in fields]
-        assert got == expected
+            expected = (expected << nbits) | (value & ((1 << nbits) - 1))
+        total = sum(nbits for _, nbits in fields)
+        padded = -total % 8
+        assert w.getvalue() == (expected << padded).to_bytes(
+            (total + padded) // 8, "big"
+        )
 
 
 class TestZigzag:
@@ -151,11 +135,6 @@ class TestPackCodes:
     def test_too_wide_rejected(self):
         with pytest.raises(ValueError):
             pack_codes(np.array([1], np.uint64), np.array([60]))
-
-    def test_unpack_bits(self):
-        assert np.array_equal(
-            unpack_bits(b"\xa0"), [1, 0, 1, 0, 0, 0, 0, 0]
-        )
 
 
 class TestClz64Boundaries:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.levels import SessionLevelModel
-from repro.core.methods import METHOD_IDS, METHOD_NAMES, MethodState
+from repro.core.methods import MethodState
 from repro.core.mt import MTMethod
+from repro.core.registry import METHOD_IDS, METHOD_NAMES, get_method
 from repro.core.vq import VQMethod
 from repro.core.vqt import VQTMethod
 from repro.exceptions import DecompressionError
@@ -31,9 +32,11 @@ class TestMethodIds:
         assert METHOD_NAMES == {v: k for k, v in METHOD_IDS.items()}
 
     def test_instances_expose_ids(self):
-        assert VQMethod().method_id == METHOD_IDS["vq"]
-        assert VQTMethod().method_id == METHOD_IDS["vqt"]
-        assert MTMethod().method_id == METHOD_IDS["mt"]
+        """A class's ``name`` keys its row: the shared instance and the
+        wire id the container writes for it."""
+        for cls, method_id in ((VQMethod, 1), (VQTMethod, 2), (MTMethod, 3)):
+            assert type(get_method(cls.name)) is cls
+            assert METHOD_IDS[cls.name] == method_id
 
 
 class TestVQ:

@@ -713,6 +713,34 @@ class TestHostileCounts:
         _assert_rejected(writer.getvalue())
 
 
+class TestOneSymbolCodebook:
+    """The encoder gives a lone symbol a 1-bit code; a one-symbol
+    codebook with any other length is forged and must not decode to
+    ``n`` copies of the symbol."""
+
+    FORGED = {
+        "v1": _claiming(40, [7], [40], bytes(5)),
+        "h2-8-streams": _claiming(40, [7], [40], bytes(8), n_streams=8),
+    }
+
+    @pytest.mark.parametrize("case", sorted(FORGED))
+    def test_forged_length_rejected(self, case):
+        _assert_rejected(self.FORGED[case], match="one-symbol")
+
+    @pytest.mark.parametrize("length", [0, 2, 16])
+    def test_any_length_but_one_rejected(self, length):
+        _assert_rejected(
+            _claiming(40, [7], [length], bytes(5)), match="one-symbol"
+        )
+
+    @pytest.mark.parametrize("n", [30, 3000])
+    def test_encoder_written_blob_decodes(self, n):
+        values = np.full(n, 7, dtype=np.int64)
+        blob = HuffmanCodec.encode(values)
+        assert np.array_equal(HuffmanCodec.decode(blob), values)
+        assert np.array_equal(_mid_batch(blob), values)
+
+
 class TestCodebookCache:
     def test_different_histograms_do_not_collide(self):
         a = np.array([0] * 100 + [1] * 5 + [2] * 5, dtype=np.int64)

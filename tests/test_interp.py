@@ -53,6 +53,28 @@ class TestInterpolate:
         pred = interpolate(recon, np.array([8]), 4, "linear", True)
         assert np.allclose(pred, [[7.0, 7.0]])
 
+    @pytest.mark.parametrize("order", ["linear", "cubic"])
+    def test_reads_only_reconstructed_rows(self, order):
+        """Rows the cascade has not reconstructed yet are uninitialized
+        memory in the interp member: a signalling NaN there raises no FP
+        flag and changes no prediction at any level."""
+        t = 10
+        values = np.random.default_rng(5).normal(size=(t, 6))
+        done = {0}
+        for stride, idx, is_anchor in level_plan(t):
+            pending = [i for i in range(t) if i not in done]
+            poisoned = values.copy()
+            poisoned.view(np.uint64)[pending] = 0x7FF0000000000001
+            zeroed = values.copy()
+            zeroed[pending] = 0.0
+            with np.errstate(all="raise"):
+                with pytest.raises(FloatingPointError):
+                    poisoned[pending] + 1.0  # the poison is live
+                got = interpolate(poisoned, idx, stride, order, is_anchor)
+            want = interpolate(zeroed, idx, stride, order, is_anchor)
+            assert np.array_equal(got, want), (stride, idx)
+            done.update(int(i) for i in idx)
+
 
 class TestCompressor:
     def run(self, stream, eb):

@@ -1,9 +1,11 @@
-"""Stage/method registry: contract, byte-stability, and the new members.
+"""The member table: contract, byte-stability, and the new members.
 
 Four layers of guarantees:
 
-1. **Registry contract** — wire ids come from ``METHOD_IDS``, duplicate
-   or unreserved registrations fail, pool validation rejects bad input.
+1. **Table contract** — the rows of ``MEMBERS`` carry wire ids 1–5 in
+   order, every row works as a config method, a CLI ``--method`` choice
+   and an ``mdz-<name>`` compressor, and pool validation rejects bad
+   input.
 2. **Byte identity** — no later change moved a single payload byte of
    any legacy archive.  The 12 MDZ1 fixtures captured on the
    pre-registry seed match their pinned digests, and today's archives
@@ -18,15 +20,18 @@ Four layers of guarantees:
 
 from __future__ import annotations
 
+import argparse
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.baselines import create_compressor
+from repro.cli import build_parser
 from repro.core import registry
 from repro.core.config import MDZConfig
-from repro.core.methods import METHOD_IDS
+from repro.core.registry import METHOD_IDS, METHOD_NAMES
 from repro.exceptions import ConfigurationError, DecompressionError
 from repro.io.container import (
     container_version,
@@ -78,7 +83,28 @@ VARIANTS = legacy_digests.VARIANTS
 
 
 # ---------------------------------------------------------------------------
-# registry contract
+# table contract
+
+
+def _method_commands() -> dict[str, tuple[list[str], tuple]]:
+    """Every CLI subcommand with a ``--method`` option: placeholder
+    positional arguments and the option's choices."""
+    (sub,) = [
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    commands = {}
+    for command, subparser in sub.choices.items():
+        for action in subparser._actions:
+            if action.dest == "method":
+                positionals = [
+                    f"{other.dest}.npy"
+                    for other in subparser._actions
+                    if not other.option_strings
+                ]
+                commands[command] = (positionals, tuple(action.choices))
+    return commands
 
 
 class TestRegistryContract:
@@ -88,21 +114,49 @@ class TestRegistryContract:
         )
 
     def test_entries_carry_the_wire_ids(self):
-        for entry in registry.method_entries():
-            assert entry.method_id == METHOD_IDS[entry.name]
+        assert [entry.method_id for entry in registry.MEMBERS] == [
+            1, 2, 3, 4, 5
+        ]
+        for entry in registry.MEMBERS:
+            assert METHOD_IDS[entry.name] == entry.method_id
+            assert METHOD_NAMES[entry.method_id] == entry.name
+
+    def test_every_row_reaches_every_consumer(self):
+        """A row is all a member needs: config, CLI, the baseline
+        compressors and the name lookup all read the table."""
+        commands = _method_commands()
+        for entry in registry.MEMBERS:
+            name = entry.name
+            assert MDZConfig(method=name).method == name
+            for command, (positionals, _) in commands.items():
+                args = build_parser().parse_args(
+                    [command, *positionals, "--method", name]
+                )
+                assert args.method == name
+            assert create_compressor(f"mdz-{name}").config.method == name
+            assert METHOD_IDS[name] == entry.method_id
+            assert registry.get_method(name).name == name
+            assert registry.get_method(name) is entry.method
+
+    def test_cli_method_choices(self):
+        commands = _method_commands()
+        assert sorted(commands) == ["compress", "stats", "stream", "trace"]
+        for _, choices in commands.values():
+            assert choices == (
+                "adp", "vq", "vqt", "mt", "interp", "bitadaptive"
+            )
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ConfigurationError, match="must be one of"):
+            MDZConfig(method="nope")
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(
+                ["compress", "in.npy", "out.mdz", "--method", "nope"]
+            )
+        assert exit_info.value.code == 2
 
     def test_get_method_is_a_singleton(self):
         assert registry.get_method("mt") is registry.get_method("mt")
-
-    def test_register_rejects_unreserved_name(self):
-        with pytest.raises(ConfigurationError, match="no wire id"):
-            registry.register_method(
-                "not-a-method", object, description=""
-            )
-
-    def test_register_rejects_duplicates(self):
-        with pytest.raises(ConfigurationError, match="duplicate"):
-            registry.register_method("mt", object, description="")
 
     def test_validate_members(self):
         assert registry.validate_members(["mt", "interp"]) == (

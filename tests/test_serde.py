@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import DecompressionError
-from repro.serde import BlobReader, BlobWriter, pack_blobs, unpack_blobs
+from repro.serde import BlobReader, BlobWriter
 
 
 class TestBlobRoundTrip:
@@ -19,11 +19,6 @@ class TestBlobRoundTrip:
         w = BlobWriter()
         w.write_bytes(b"")
         assert BlobReader(w.getvalue()).read_bytes() == b""
-
-    def test_string_section(self):
-        w = BlobWriter()
-        w.write_string("unicode: äöü ∆")
-        assert BlobReader(w.getvalue()).read_string() == "unicode: äöü ∆"
 
     def test_json_section(self):
         payload = {"a": 1, "b": [1.5, None], "c": {"nested": True}}
@@ -103,12 +98,3 @@ class TestBlobErrors:
         blob[20] = 9  # claim 9 elements while only 8 are present
         with pytest.raises(DecompressionError):
             BlobReader(bytes(blob)).read_array()
-
-
-class TestPackBlobs:
-    def test_round_trip(self):
-        blobs = [b"", b"a", b"bb" * 100]
-        assert unpack_blobs(pack_blobs(blobs)) == blobs
-
-    def test_empty_list(self):
-        assert unpack_blobs(pack_blobs([])) == []

@@ -280,6 +280,44 @@ class TestWriterLifecycle:
         writer.abort()
 
 
+class TestWriterSync:
+    """``sync=True`` fsyncs once per committed chunk and moves no byte."""
+
+    def test_file_target_fsyncs_every_chunk(
+        self, trajectory, tmp_path, monkeypatch
+    ):
+        from repro.stream import writer as writer_module
+
+        synced_fds = []
+        real_fsync = writer_module.os.fsync
+
+        def counting_fsync(fd):
+            synced_fds.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(writer_module.os, "fsync", counting_fsync)
+        config = MDZConfig(buffer_size=4)
+        with StreamingWriter(tmp_path / "sync.mdz", config, sync=True) as w:
+            w.feed_many(trajectory)
+        assert len(synced_fds) == 9  # 3 buffers x 3 axes
+        with StreamingWriter(tmp_path / "plain.mdz", config) as w:
+            w.feed_many(trajectory)
+        assert len(synced_fds) == 9
+        assert (tmp_path / "sync.mdz").read_bytes() == (
+            tmp_path / "plain.mdz"
+        ).read_bytes()
+
+    def test_memory_target(self, trajectory):
+        """An in-memory target has no descriptor to fsync: the same
+        bytes, no error."""
+        config = MDZConfig(buffer_size=4)
+        synced, plain = io.BytesIO(), io.BytesIO()
+        for sink, sync in ((synced, True), (plain, False)):
+            with StreamingWriter(sink, config, sync=sync) as w:
+                w.feed_many(trajectory)
+        assert synced.getvalue() == plain.getvalue()
+
+
 #: Config fields per parallel byte-identity case: every member, the
 #: five-member pool, and the settings a worker must encode with.
 PARALLEL_CASES = {

@@ -1,16 +1,16 @@
 #!/usr/bin/env python
 """Generate the member table in ``docs/stages.md`` from the code.
 
-Imports the method registry (:mod:`repro.core.registry`) and rewrites
-the marker-delimited block in ``docs/stages.md`` — one row per member:
-name, wire id, whether it needs the session reference, description —
-from the same entries the compressor resolves at runtime, so the
-documentation cannot drift from what the code dispatches.  The prose
+Imports the member table (:data:`repro.core.registry.MEMBERS`) and
+rewrites the marker-delimited block in ``docs/stages.md`` — one row per
+member: name, wire id, whether it needs the session reference,
+description — from the same rows the compressor resolves at runtime, so
+the documentation cannot drift from what the code dispatches.  The prose
 around the block is hand-written and untouched (unlike
 ``tools/list_metrics.py``, which owns its whole file).
 
 The generated block is committed; ``tests/test_docs.py`` regenerates it
-in-memory and fails when the two drift, so registering a member without
+in-memory and fails when the two drift, so adding a member without
 re-running this tool breaks the tier-1 suite with a one-line fix::
 
     python tools/list_stages.py            # rewrite the block in docs/stages.md
@@ -35,16 +35,16 @@ DOC_PATH = Path("docs") / "stages.md"
 
 
 def generate_block() -> str:
-    """The member table, rendered from the live registry."""
+    """The member table, rendered from :data:`repro.core.registry.MEMBERS`."""
     lines = [
         BEGIN,
         "<!-- auto-generated — do not edit between these markers; "
-        "run `python tools/list_stages.py` after registering -->",
+        "run `python tools/list_stages.py` after adding a member -->",
         "",
         "| name | id | needs ref | description |",
         "|---|---|---|---|",
     ]
-    for entry in registry.method_entries():
+    for entry in registry.MEMBERS:
         lines.append(
             f"| `{entry.name}` | {entry.method_id} | "
             f"{'yes' if entry.needs_reference else 'no'} | "
